@@ -51,12 +51,8 @@ from .training import (
     TrainConfig,
     Trajectory,
     estimate_c_f,
-    gd_step,
-    gf_integrate,
     lr_schedule,
     max_feasible_eta,
-    sgd_step,
-    sgld_step,
     train,
 )
 
@@ -85,8 +81,6 @@ __all__ = [
     "cl_power",
     "estimate_c_f",
     "forward",
-    "gd_step",
-    "gf_integrate",
     "grad_f",
     "init_gaussian",
     "inject_label_noise",
@@ -100,9 +94,7 @@ __all__ = [
     "rademacher_constant",
     "run_suites",
     "save_csv",
-    "sgd_step",
     "sgld_bound",
-    "sgld_step",
     "split",
     "synth_classification",
     "synth_regression",

@@ -170,10 +170,34 @@ class BoundReport:
         return asdict(self)
 
 
-def _complexity(spec: "NetworkSpec", v: np.ndarray, cl_value: float, n: int, factor: float) -> float:
-    clp = max(cl_value, 0.0)
+def _theorem(traj: "Trajectory", rho: float | None, theorem: str | None = None):
+    """The theorem a trajectory is bounded under, its rho and (1 + rho) factor.
+
+    The tag defaults to the trajectory's algorithm, with SGLD runs under the
+    full-batch (GD) theorem.  Only the minibatch (SGD) theorem uses rho,
+    which must then be positive; the others drop it and use factor 1.
+    """
+    if theorem is None:
+        theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
+    if theorem not in ("GF", "GD", "SGD"):
+        raise ValueError("theorem must be 'GF', 'GD' or 'SGD'")
+    if theorem != "SGD":
+        return theorem, None, 1.0
+    if rho is None or rho <= 0:
+        raise ValueError("the minibatch bound needs rho > 0")
+    return theorem, rho, 1.0 + rho
+
+
+def _cl_series(traj: "Trajectory") -> np.ndarray:
+    """CL prefix series: trapezoidal for gradient flow, discrete otherwise."""
+    return (cl_continuous(traj) if traj.algorithm == "GF" else cl_discrete(traj))[1]
+
+
+def _complexity(spec: "NetworkSpec", v: np.ndarray, cl, n: int, factor: float):
+    """Complexity term for a CL value, or for each entry of a CL series."""
+    clp = np.maximum(np.asarray(cl, dtype=float), 0.0)[..., None]
     const = rademacher_constant(spec.n_hidden, spec.input_dim, spec.kind)
-    prod = float(np.prod(np.sqrt(factor * (v + clp))))
+    prod = np.prod(np.sqrt(factor * (v + clp)), axis=-1)
     return const * spec.out_scale / math.sqrt(n) * prod
 
 
@@ -191,7 +215,8 @@ def assemble_bound(
 
     The theorem tag defaults to the trajectory's algorithm (GF, GD, SGD);
     SGLD runs are assembled under the full-batch tag.  rho > 0 is required
-    for SGD and scales both the init-norm and CL summands by (1 + rho).
+    for SGD and scales both the init-norm and CL summands by (1 + rho); it
+    is ignored (and reported as None) under the other theorems.
     Negative CL is clamped to zero inside the product (flagged in the
     report); the raw value is kept alongside.
     """
@@ -200,29 +225,19 @@ def assemble_bound(
         raise ValueError("lam must lie in (0, 1/sqrt(3))")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if theorem is None:
-        theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
-    if theorem not in ("GF", "GD", "SGD"):
-        raise ValueError("theorem must be 'GF', 'GD' or 'SGD'")
-    if theorem == "SGD":
-        if rho is None or rho <= 0:
-            raise ValueError("the minibatch bound needs rho > 0")
-        factor = 1.0 + rho
-    else:
-        rho = None
-        factor = 1.0
+    theorem, rho, factor = _theorem(traj, rho, theorem)
     if n is None:
         n = traj.n_train
     if n < 1:
         raise ValueError("n must be positive")
     if cl_value is None:
-        cl_value = (cl_continuous(traj) if traj.algorithm == "GF" else cl_discrete(traj))[0]
+        cl_value = float(_cl_series(traj)[-1])
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
-    complexity = _complexity(spec, v, cl_value, n, factor)
+    complexity = float(_complexity(spec, v, cl_value, n, factor))
     confidence = math.sqrt(math.log(1.0 / delta) / n)
     bound_seed_mean = None
     if cl_seed_mean is not None:
-        bound_seed_mean = _complexity(spec, v, cl_seed_mean, n, factor) + confidence
+        bound_seed_mean = float(_complexity(spec, v, cl_seed_mean, n, factor)) + confidence
     return BoundReport(
         theorem=theorem,
         algorithm=traj.algorithm,
@@ -256,23 +271,12 @@ def bound_series(
     rho: float | None = None,
 ) -> np.ndarray:
     """Bound value at every logged step, using the CL prefix up to it."""
-    if traj.algorithm == "GF":
-        _, series = cl_continuous(traj)
-    else:
-        _, series = cl_discrete(traj)
+    _, _, factor = _theorem(traj, rho)
     if n is None:
         n = traj.n_train
-    theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
-    factor = 1.0
-    if theorem == "SGD":
-        if rho is None or rho <= 0:
-            raise ValueError("the minibatch bound needs rho > 0")
-        factor = 1.0 + rho
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
     confidence = math.sqrt(math.log(1.0 / delta) / n)
-    return np.array(
-        [_complexity(traj.spec, v, cl_t, n, factor) + confidence for cl_t in series]
-    )
+    return _complexity(traj.spec, v, _cl_series(traj), n, factor) + confidence
 
 
 @dataclass

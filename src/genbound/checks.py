@@ -21,6 +21,7 @@ from .network import (
     batch_outputs,
     forward,
     grad_f,
+    init_gaussian,
     loss_and_grad,
 )
 from .training import TrainConfig, Trajectory, estimate_c_f, max_feasible_eta, train
@@ -38,7 +39,6 @@ __all__ = [
     "check_loss_decomposition",
     "random_fnn_spec",
     "random_cnn_spec",
-    "random_params",
     "random_ball_points",
     "sample_kink_free",
     "SUITE_NAMES",
@@ -108,17 +108,6 @@ def random_cnn_spec(rng, max_fc_width: int = 16) -> NetworkSpec:
     return NetworkSpec(d, tuple(kernels), tuple(fc), out, float(rng.uniform(0.0, 1.0)))
 
 
-def random_params(spec: NetworkSpec, rng, kappa: float | None = None) -> Parameters:
-    """Layerwise Gaussian draw with E||layer||^2 = kappa^2."""
-    if kappa is None:
-        kappa = float(rng.uniform(0.5, 2.0))
-    layers = []
-    for shape in spec.layer_shapes():
-        q = int(np.prod(shape))
-        layers.append(rng.normal(0.0, kappa / math.sqrt(q), size=shape))
-    return Parameters(spec, layers)
-
-
 def random_ball_points(rng, n: int, d: int) -> np.ndarray:
     """n points uniform in the d-dimensional unit ball."""
     g = rng.normal(size=(n, d))
@@ -154,7 +143,7 @@ def check_homogeneity(
     L1 = spec.n_layers
     for i in range(trials):
         rng = _rng(seed, i)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = random_ball_points(rng, 1, spec.input_dim)[0]
         f = forward(params, x).f
         grads = grad_f(params, x)
@@ -181,7 +170,7 @@ def check_value_grad_bounds(spec: NetworkSpec, trials: int, seed: int) -> CheckO
     L = spec.n_hidden
     for i in range(trials):
         rng = _rng(seed, i)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = random_ball_points(rng, 1, spec.input_dim)[0]
         xn = float(np.linalg.norm(x))
         f = forward(params, x).f
@@ -329,7 +318,7 @@ def mc_rademacher_lower(
     rng = _rng(seed)
     F = np.empty((hyp_samples, n))
     for hi in range(hyp_samples):
-        params = random_params(spec, rng, kappa=1.0)
+        params = init_gaussian(spec, 1.0, rng)
         layers = []
         for W, radius in zip(params.layers, Q):
             norm = float(np.linalg.norm(W.ravel()))
@@ -436,8 +425,6 @@ def _suite_norm_dynamics(seed: int, inject_bug: bool = False) -> list[CheckOutco
     ds = synth_regression(256, seed)
     spec = NetworkSpec(3, (), (32, 32), 32, math.log(4.0) / math.log(32.0))
     cfg = TrainConfig(algorithm="GD", alpha=1.0, t0=1, total_steps=150, seed=seed, kappa=2.0)
-    from .network import init_gaussian
-
     params0 = init_gaussian(spec, cfg.kappa, cfg.seed)
     c_f = estimate_c_f(params0, ds.inputs)
     cfg.eta = max_feasible_eta(params0.norms(), spec, cfg, c_f, ds.c_y)
@@ -476,7 +463,7 @@ def _suite_loss_decomposition(seed: int, inject_bug: bool = False) -> list[Check
     outs = []
     for i in range(40):
         spec = random_fnn_spec(rng) if i % 2 == 0 else random_cnn_spec(rng)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         c_y = float(rng.uniform(0.1, 1.0))
         X = random_ball_points(rng, 16, spec.input_dim)
         y = rng.uniform(-c_y, c_y, size=16)

@@ -253,51 +253,33 @@ def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> Non
             fh.write(f"# diverged at step {traj.diverged_at}\n")
 
 
-@dataclass
-class TrajectoryView:
-    """Slice of a logged run carrying what the bound assembly reads."""
+def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
+    """Rebuild a logged run from its CSV; the config supplies what it omits.
 
-    algorithm: str
-    steps: np.ndarray
-    times: np.ndarray
-    eta: np.ndarray
-    ln_train: np.ndarray
-    ln_test: np.ndarray
-    psi: np.ndarray
-    cl: np.ndarray
-    normsq: np.ndarray
-    c_y: float
-    loss_power: int
-    n_train: int
-    spec: NetworkSpec
-
-    @property
-    def init_sq_norms(self) -> np.ndarray:
-        return self.normsq[0]
-
-    @property
-    def has_test(self) -> bool:
-        return bool(np.isfinite(self.ln_test).any())
-
-
-def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict):
-    """Rebuild the view of a logged run that the bound assembly needs."""
+    The CSV carries no seed, gradients, outputs or final parameters, so
+    those fields are None.  A trailing `# diverged at step N` marker sets
+    diverged_at.
+    """
+    diverged_at = None
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [
-            [float(v) for v in line.split(",")]
-            for line in fh
-            if line.strip() and not line.startswith("#")
-        ]
+        for line in fh:
+            if line.startswith("# diverged at step "):
+                diverged_at = int(line.rsplit(" ", 1)[1])
+            elif line.strip() and not line.startswith("#"):
+                rows.append([float(v) for v in line.split(",")])
     arr = np.array(rows)
     col = {name: i for i, name in enumerate(header)}
     normsq = np.stack(
         [arr[:, col[f"normsq_{l + 1}"]] for l in range(spec.n_layers)], axis=1
     )
     ds, _ = build_datasets(doc)
-    view = TrajectoryView(
-        algorithm=doc.get("train", {}).get("algorithm", "GD"),
-        steps=arr[:, col["t"]].astype(int),
+    tr = doc.get("train", {})
+    return Trajectory(
+        algorithm=tr.get("algorithm", "GD"),
+        spec=spec,
+        steps=np.arange(arr.shape[0]),
         times=arr[:, col["t"]],
         eta=arr[:, col["eta_t"]],
         ln_train=arr[:, col["Ln_train"]],
@@ -306,11 +288,10 @@ def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict):
         cl=arr[:, col["CL"]],
         normsq=normsq,
         c_y=ds.c_y,
-        loss_power=int(doc.get("train", {}).get("loss_power", 2)),
+        loss_power=int(tr.get("loss_power", 2)),
         n_train=ds.n,
-        spec=spec,
+        diverged_at=diverged_at,
     )
-    return view, arr[:, col["bound_prefix"]]
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -319,18 +300,14 @@ def _dump_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _assemble(doc: dict, traj, cl_seed_mean=None):
+def _assemble(doc: dict, traj: Trajectory, cl_seed_mean=None):
     bd = doc.get("bound", {})
     lam = float(bd.get("lam", 0.5))
     delta = float(bd.get("delta", 0.05))
     rho = bd.get("rho", 1.0)
     rho = float(rho) if rho is not None else None
-    theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
-    rho_used = rho if theorem == "SGD" else None
-    report = bnd.assemble_bound(
-        traj, lam, delta, rho=rho_used, cl_seed_mean=cl_seed_mean
-    )
-    series = bnd.bound_series(traj, lam, delta, rho=rho_used)
+    report = bnd.assemble_bound(traj, lam, delta, rho=rho, cl_seed_mean=cl_seed_mean)
+    series = bnd.bound_series(traj, lam, delta, rho=rho)
     return report, series
 
 
@@ -348,23 +325,14 @@ def cmd_train(args) -> int:
     else:
         results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
     primary = results[0]
-    cl_values = []
-    for res in results:
-        traj = res.trajectory
-        value = (
-            bnd.cl_continuous(traj)[0] if traj.algorithm == "GF" else bnd.cl_discrete(traj)[0]
-        )
-        cl_values.append(value)
-    cl_seed_mean = float(np.mean(cl_values)) if len(results) > 1 else None
-    report, series = _assemble(doc, primary.trajectory, cl_seed_mean)
-    write_trajectory_csv(primary.trajectory, series, os.path.join(out_dir, "trajectory.csv"))
-    for res in results[1:]:
-        _, extra_series = _assemble(doc, res.trajectory)
-        write_trajectory_csv(
-            res.trajectory,
-            extra_series,
-            os.path.join(out_dir, f"trajectory_seed{res.seed}.csv"),
-        )
+    assembled = [_assemble(doc, res.trajectory) for res in results]
+    if len(results) > 1:
+        cl_seed_mean = float(np.mean([report.cl for report, _ in assembled]))
+        assembled[0] = _assemble(doc, primary.trajectory, cl_seed_mean)
+    report, series = assembled[0]
+    for i, (res, (_, res_series)) in enumerate(zip(results, assembled)):
+        name = "trajectory.csv" if i == 0 else f"trajectory_seed{res.seed}.csv"
+        write_trajectory_csv(res.trajectory, res_series, os.path.join(out_dir, name))
     payload = report.to_dict()
     payload.update(
         {
@@ -404,9 +372,12 @@ def cmd_train(args) -> int:
 def cmd_bound(args) -> int:
     doc = load_config(args.config)
     spec = build_spec(doc)
-    view, _ = read_trajectory_csv(args.trajectory, spec, doc)
-    report, _ = _assemble(doc, view)
+    traj = read_trajectory_csv(args.trajectory, spec, doc)
+    report, _ = _assemble(doc, traj)
     _dump_json(report.to_dict(), args.out)
+    if traj.diverged_at is not None:
+        print(f"trajectory diverged at step {traj.diverged_at}", file=sys.stderr)
+        return 1
     print(f"bound {report.bound:.6g} -> {args.out}")
     return 0
 

@@ -156,6 +156,17 @@ class Parameters:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"layer {i + 1}: non-finite entries")
 
+    @classmethod
+    def _unchecked(cls, spec: NetworkSpec, layers: list[np.ndarray]) -> "Parameters":
+        """Wrap layers computed from valid parameters without scanning them.
+
+        For the training loop, which checks finiteness on the layer norms
+        it logs each step instead of scanning every entry a second time.
+        """
+        params = cls.__new__(cls)
+        params.spec, params.layers = spec, layers
+        return params
+
     def copy(self) -> "Parameters":
         return Parameters(self.spec, [arr.copy() for arr in self.layers])
 
@@ -198,8 +209,11 @@ class ForwardTrace:
         return min(float(np.min(np.abs(p))) for p in self.pre)
 
 
-def init_gaussian(spec: NetworkSpec, kappa: float, seed: int) -> Parameters:
-    """Draw each layer from N(0, kappa^2/q(l) I) so E||layer||^2 = kappa^2."""
+def init_gaussian(spec: NetworkSpec, kappa: float, seed: int | np.random.Generator) -> Parameters:
+    """Draw each layer from N(0, kappa^2/q(l) I) so E||layer||^2 = kappa^2.
+
+    `seed` may also be a Generator, which the draws then advance.
+    """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,6 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "lr_schedule",
-    "gd_step",
-    "sgd_step",
-    "sgld_step",
-    "all_indices_once",
-    "gf_integrate",
     "estimate_c_f",
     "max_feasible_eta",
     "train",
@@ -118,10 +113,12 @@ class Trajectory:
     cl[-1] is the realized cumulative loss CL(T).  gradsq has one row per
     transition (the per-layer squared gradient norms used by the update).
     For GF, `steps` counts Euler substeps, times = steps*h and eta[t] = h.
+    A trajectory read back from a CSV has no seed, gradsq, max_abs_f or
+    final_params; those fields are None.
     """
 
     algorithm: str
-    seed: int
+    spec: NetworkSpec
     steps: np.ndarray
     times: np.ndarray
     eta: np.ndarray
@@ -130,17 +127,14 @@ class Trajectory:
     psi: np.ndarray
     cl: np.ndarray
     normsq: np.ndarray
-    gradsq: np.ndarray
     c_y: float
     loss_power: int
     n_train: int
-    max_abs_f: float
-    final_params: Parameters
+    seed: int | None = None
+    gradsq: np.ndarray | None = None
+    max_abs_f: float | None = None
+    final_params: Parameters | None = None
     diverged_at: int | None = None
-
-    @property
-    def spec(self) -> NetworkSpec:
-        return self.final_params.spec
 
     @property
     def init_sq_norms(self) -> np.ndarray:
@@ -152,7 +146,10 @@ class Trajectory:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss explodes; carries the partial run."""
+    """Raised when the loss explodes or a step leaves non-finite parameters.
+
+    Carries the partial run, whose last row is the step that failed.
+    """
 
     def __init__(self, step: int, loss: float, trajectory: Trajectory):
         super().__init__(f"training diverged at step {step}: loss {loss:.6g}")
@@ -175,58 +172,45 @@ def _integrand(ln: float, c_y: float, loss_power: int) -> float:
     return power_integrand(ln, c_y, loss_power)
 
 
-def gd_step(params: Parameters, dataset, t: int, config: TrainConfig) -> Parameters:
-    """One full-gradient step with the scheduled rate."""
-    eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
-    _, grads, _ = _loss_grad_outputs(params, dataset.inputs, dataset.targets, config.loss_power)
-    return params.add_scaled(grads, -eta_t)
+def _update(params: Parameters, grads, eta_t: float, config: TrainConfig, dataset, rng):
+    """One step of config.algorithm; returns (new params, gradient the step used).
 
-
-def all_indices_once(rng, n: int, batch: int) -> np.ndarray:
-    """Debug sampler covering each index exactly once; makes SGD equal GD."""
-    return np.arange(n)
-
-
-def sgd_step(params: Parameters, dataset, t: int, config: TrainConfig, rng, sampler=None):
-    """One minibatch step; returns (new params, sampled index tuple)."""
-    eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
-    if sampler is None:
+    GD and GF move along the full-data gradient `grads`.  SGD ignores it and
+    moves along the gradient of a minibatch drawn from rng; SGLD adds
+    N(0, 2*eta_t/beta) noise from rng to the GD step (none at beta = inf).
+    The result skips the entry scan of `Parameters`: `train` checks the
+    logged layer norms instead, so an overflow ends as a divergence.
+    """
+    if config.algorithm == "SGD":
         idx = rng.integers(0, dataset.n, size=config.batch)
-    else:
-        idx = sampler(rng, dataset.n, config.batch)
-    _, grads, _ = _loss_grad_outputs(
-        params, dataset.inputs[idx], dataset.targets[idx], config.loss_power
-    )
-    return params.add_scaled(grads, -eta_t), idx
-
-
-def sgld_step(params: Parameters, dataset, t: int, config: TrainConfig, rng) -> Parameters:
-    """Full-gradient step plus N(0, 2*eta_t/beta) noise; beta=inf skips noise."""
-    eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
-    _, grads, _ = _loss_grad_outputs(params, dataset.inputs, dataset.targets, config.loss_power)
-    new = params.add_scaled(grads, -eta_t)
-    if config.beta == math.inf:
-        return new
-    scale = math.sqrt(2.0 * eta_t / config.beta)
-    noisy = [w + rng.normal(0.0, scale, size=w.shape) for w in new.layers]
-    return Parameters(params.spec, noisy)
+        _, grads, _ = _loss_grad_outputs(
+            params, dataset.inputs[idx], dataset.targets[idx], config.loss_power
+        )
+    layers = [w - eta_t * g for w, g in zip(params.layers, grads)]
+    if config.algorithm == "SGLD" and config.beta != math.inf:
+        scale = math.sqrt(2.0 * eta_t / config.beta)
+        layers = [w + rng.normal(0.0, scale, size=w.shape) for w in layers]
+    return Parameters._unchecked(params.spec, layers), grads
 
 
 class _TrajectoryLog:
     """Accumulates rows and enforces the divergence guard."""
 
-    def __init__(self, algorithm, seed, c_y, loss_power, n_train):
-        self.algorithm = algorithm
-        self.seed = seed
-        self.c_y = c_y
-        self.loss_power = loss_power
-        self.n_train = n_train
+    def __init__(self, spec, config: TrainConfig, dataset, time_step: float):
+        self.spec = spec
+        self.algorithm = config.algorithm
+        self.seed = config.seed
+        self.c_y = dataset.c_y
+        self.loss_power = config.loss_power
+        self.n_train = dataset.n
+        self.time_step = time_step
         self.rows = {k: [] for k in ("eta", "ln", "ln_test", "psi", "cl", "normsq")}
         self.gradsq: list[np.ndarray] = []
         self.cl_running = 0.0
         self.max_abs_f = 0.0
 
-    def log_state(self, eta_t, ln, ln_test, params):
+    def log_state(self, step, eta_t, ln, ln_test, params):
+        """Append row `step`; raise DivergenceError if its loss or norms blew up."""
         r = self.rows
         r["eta"].append(eta_t)
         r["ln"].append(ln)
@@ -234,6 +218,8 @@ class _TrajectoryLog:
         r["psi"].append(_integrand(ln, self.c_y, self.loss_power))
         r["cl"].append(self.cl_running)
         r["normsq"].append(params.sq_norms())
+        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.all(np.isfinite(r["normsq"][-1])):
+            raise DivergenceError(step, ln, self.build(params, diverged_at=step))
 
     def advance_cl(self):
         self.cl_running += 2.0 * self.rows["eta"][-1] * self.rows["psi"][-1]
@@ -244,32 +230,29 @@ class _TrajectoryLog:
     def see_outputs(self, f: np.ndarray):
         self.max_abs_f = max(self.max_abs_f, float(np.max(np.abs(f))))
 
-    def build(self, params, time_step=1.0, diverged_at=None) -> Trajectory:
+    def build(self, params, diverged_at=None) -> Trajectory:
         k = len(self.rows["eta"])
-        n_layers = params.spec.n_layers
+        n_layers = self.spec.n_layers
         return Trajectory(
             algorithm=self.algorithm,
-            seed=self.seed,
+            spec=self.spec,
             steps=np.arange(k),
-            times=np.arange(k) * time_step,
+            times=np.arange(k) * self.time_step,
             eta=np.array(self.rows["eta"]),
             ln_train=np.array(self.rows["ln"]),
             ln_test=np.array(self.rows["ln_test"]),
             psi=np.array(self.rows["psi"]),
             cl=np.array(self.rows["cl"]),
             normsq=np.array(self.rows["normsq"]).reshape(k, n_layers),
-            gradsq=np.array(self.gradsq).reshape(len(self.gradsq), n_layers),
             c_y=self.c_y,
             loss_power=self.loss_power,
             n_train=self.n_train,
+            seed=self.seed,
+            gradsq=np.array(self.gradsq).reshape(len(self.gradsq), n_layers),
             max_abs_f=self.max_abs_f,
             final_params=params,
             diverged_at=diverged_at,
         )
-
-    def guard(self, step, ln, params, time_step=1.0):
-        if not math.isfinite(ln) or ln > _LOSS_CAP:
-            raise DivergenceError(step, ln, self.build(params, time_step, diverged_at=step))
 
 
 def _batch_loss(params, X, y, loss_power) -> tuple[float, np.ndarray]:
@@ -279,40 +262,6 @@ def _batch_loss(params, X, y, loss_power) -> tuple[float, np.ndarray]:
         return 0.5 * float(res @ res) / X.shape[0], f
     a = int(loss_power)
     return float(np.sum(np.abs(res) ** a)) / (a * X.shape[0]), f
-
-
-def gf_integrate(
-    params: Parameters,
-    dataset,
-    duration: float,
-    h: float,
-    config: TrainConfig,
-    test_dataset=None,
-) -> Trajectory:
-    """Explicit-Euler gradient flow, logging every substep."""
-    if duration <= 0 or h <= 0:
-        raise ValueError("duration and substep must be positive")
-    n_sub = max(1, int(round(duration / h)))
-    log = _TrajectoryLog("GF", config.seed, dataset.c_y, config.loss_power, dataset.n)
-    for k in range(n_sub + 1):
-        ln, grads, f = _loss_grad_outputs(
-            params, dataset.inputs, dataset.targets, config.loss_power
-        )
-        log.see_outputs(f)
-        ln_test = None
-        if test_dataset is not None:
-            ln_test, f_te = _batch_loss(
-                params, test_dataset.inputs, test_dataset.targets, config.loss_power
-            )
-            log.see_outputs(f_te)
-        log.log_state(h, ln, ln_test, params)
-        log.guard(k, ln, params, time_step=h)
-        if k == n_sub:
-            break
-        log.advance_cl()
-        log.log_grads(grads)
-        params = params.add_scaled(grads, -h)
-    return log.build(params, time_step=h)
 
 
 def estimate_c_f(params: Parameters, X: np.ndarray, margin: float = 1.1) -> float:
@@ -383,27 +332,33 @@ def train(
     dataset,
     config: TrainConfig,
     test_dataset=None,
-    sampler=None,
 ) -> Trajectory:
     """Initialize and run the configured algorithm, returning the full log.
 
-    Logged losses are always full-data quantities, also under SGD; the
-    minibatch only drives the update.  Raises DivergenceError (carrying the
-    partial trajectory) if the loss exceeds 1e6 or turns non-finite.
+    GF is explicit Euler at the constant rate h = gf_substep (default
+    eta/100) for max(1, round(duration/h)) substeps; the other algorithms
+    follow the schedule `lr_schedule` for total_steps steps.  Logged losses
+    are always full-data quantities, also under SGD; the minibatch only
+    drives the update.  Raises DivergenceError (carrying the partial
+    trajectory) if the loss exceeds 1e6 or turns non-finite, or a step
+    leaves non-finite parameters.
     """
     config.validate(spec.n_hidden)
     params = init_gaussian(spec, config.kappa, config.seed)
     if config.algorithm == "GF":
         h = config.gf_substep if config.gf_substep is not None else config.eta / 100.0
-        return gf_integrate(params, dataset, config.duration, h, config, test_dataset)
-
-    sample_rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 17]))
-    noise_rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 29]))
-    log = _TrajectoryLog(
-        config.algorithm, config.seed, dataset.c_y, config.loss_power, dataset.n
-    )
-    for t in range(config.total_steps + 1):
-        eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
+        n_steps = max(1, int(round(config.duration / h)))
+    else:
+        h, n_steps = 1.0, config.total_steps
+    # SGD minibatches and SGLD noise each have their own seed stream
+    stream = 17 if config.algorithm == "SGD" else 29
+    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), stream]))
+    log = _TrajectoryLog(spec, config, dataset, h)
+    for t in range(n_steps + 1):
+        if config.algorithm == "GF":
+            eta_t = h
+        else:
+            eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
         if config.algorithm == "SGD":
             ln, f = _batch_loss(params, dataset.inputs, dataset.targets, config.loss_power)
             grads = None
@@ -418,31 +373,10 @@ def train(
                 params, test_dataset.inputs, test_dataset.targets, config.loss_power
             )
             log.see_outputs(f_te)
-        log.log_state(eta_t, ln, ln_test, params)
-        log.guard(t, ln, params)
-        if t == config.total_steps:
+        log.log_state(t, eta_t, ln, ln_test, params)
+        if t == n_steps:
             break
         log.advance_cl()
-        if config.algorithm == "GD":
-            log.log_grads(grads)
-            params = params.add_scaled(grads, -eta_t)
-        elif config.algorithm == "SGLD":
-            log.log_grads(grads)
-            params = params.add_scaled(grads, -eta_t)
-            if config.beta != math.inf:
-                scale = math.sqrt(2.0 * eta_t / config.beta)
-                params = Parameters(
-                    spec,
-                    [w + noise_rng.normal(0.0, scale, size=w.shape) for w in params.layers],
-                )
-        else:  # SGD
-            if sampler is None:
-                idx = sample_rng.integers(0, dataset.n, size=config.batch)
-            else:
-                idx = sampler(sample_rng, dataset.n, config.batch)
-            _, bgrads, _ = _loss_grad_outputs(
-                params, dataset.inputs[idx], dataset.targets[idx], config.loss_power
-            )
-            log.log_grads(bgrads)
-            params = params.add_scaled(bgrads, -eta_t)
+        params, grads = _update(params, grads, eta_t, config, dataset, rng)
+        log.log_grads(grads)
     return log.build(params)

@@ -62,13 +62,18 @@ def cl_resum(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def gf_closed_form(t):
-    """Both weights of the width-1 net w=c=1 on the datum (x=1, y=0).
+def gf_closed_form_loss(t, ln0, c):
+    """Loss along gradient flow of the width-1 net a*relu(w) on (x=1, y=0).
 
-    The flow dw/dt = -w*c^2*... stays symmetric, u' = -u^3 from L = u^4/2,
-    hence u(t) = (1 + 2t)^(-1/2).
+    With f = a w and w > 0 the flow w' = -f a, a' = -f w keeps
+    c = w^2 - a^2 fixed, and f' = -f (w^2 + a^2) = -f sqrt(c^2 + 4 f^2)
+    integrates to |f(t)| = |c| / (2 sinh(asinh(|c| / (2 |f(0)|)) + |c| t)).
+    The loss is f^2 / 2, starting from ln0.
     """
-    return 1.0 / np.sqrt(1.0 + 2.0 * np.asarray(t, dtype=float))
+    c = abs(c)
+    f0 = np.sqrt(2.0 * ln0)
+    f = c / (2.0 * np.sinh(np.arcsinh(c / (2.0 * f0)) + c * np.asarray(t, dtype=float)))
+    return 0.5 * f * f
 
 
 def layer_tail_probability(q: int, kappa: float, threshold: float) -> float:

@@ -31,7 +31,6 @@ from genbound.checks import (
     random_ball_points,
     random_cnn_spec,
     random_fnn_spec,
-    random_params,
     sample_kink_free,
     _rel,
     _rng,
@@ -69,7 +68,7 @@ def test_criterion_02_backprop_vs_finite_differences():
     done = 0
     while done < 200:
         spec = random_fnn_spec(rng, max_width=8, depth_range=(2, 4)) if done % 2 else random_cnn_spec(rng, max_fc_width=6)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         try:
             x, _ = sample_kink_free(params, rng, margin=1e-3)
         except RuntimeError:

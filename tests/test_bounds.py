@@ -35,6 +35,7 @@ def _hand_trajectory(algorithm, eta, ln, c_y=1.0, times=None):
     cl = cl_resum(eta, psis)
     return Trajectory(
         algorithm=algorithm,
+        spec=spec,
         seed=0,
         steps=np.arange(k),
         times=np.arange(k, dtype=float) if times is None else np.asarray(times, dtype=float),

@@ -22,12 +22,11 @@ from genbound.checks import (
     random_ball_points,
     random_cnn_spec,
     random_fnn_spec,
-    random_params,
     run_suites,
     sample_kink_free,
 )
 from genbound.data import Dataset, synth_regression
-from genbound.network import NetworkSpec, forward
+from genbound.network import NetworkSpec, forward, init_gaussian
 from genbound.training import TrainConfig, train
 
 from oracles import layer_tail_probability
@@ -90,7 +89,7 @@ def test_rank_one_witness_tight():
 def test_sample_kink_free_margin():
     rng = np.random.default_rng(2)
     spec = NetworkSpec(4, (), (6, 5), 5, 0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     x, trace = sample_kink_free(params, rng, margin=1e-3)
     assert trace.kink_margin() >= 1e-3
     assert forward(params, x).kink_margin() >= 1e-3
@@ -99,7 +98,7 @@ def test_sample_kink_free_margin():
 def test_finite_diff_restores_parameters():
     rng = np.random.default_rng(3)
     spec = NetworkSpec(3, (), (4,), 4, 0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     before = [w.copy() for w in params.layers]
     finite_diff_grad(params, np.array([0.2, -0.1, 0.4]), h=1e-4)
     for a, b in zip(params.layers, before):
@@ -194,7 +193,7 @@ def test_loss_decomposition_identity_and_cap():
     rng = np.random.default_rng(6)
     for _ in range(10):
         spec = random_fnn_spec(rng)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         c_y = float(rng.uniform(0.1, 1.0))
         X = random_ball_points(rng, 16, spec.input_dim)
         y = rng.uniform(-c_y, c_y, size=16)
@@ -206,7 +205,7 @@ def test_loss_decomposition_high_loss_region():
     # negative; the inequality must still hold
     rng = np.random.default_rng(7)
     spec = NetworkSpec(3, (), (8,), 8, 0.5)
-    params = random_params(spec, rng, kappa=6.0)
+    params = init_gaussian(spec, 6.0, rng)
     X = random_ball_points(rng, 16, 3)
     y = rng.uniform(-0.25, 0.25, size=16)
     ds = Dataset(X, y, 0.25)

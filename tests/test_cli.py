@@ -149,8 +149,25 @@ def test_train_svg_chart(tmp_path):
     assert svg.startswith("<svg") and "train loss" in svg
 
 
-def test_bound_recompute_matches_train(tmp_path):
-    cfg = _write(tmp_path, _base_config())
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(name)
+    return [float(line.split(",")[i]) for line in lines[1:] if not line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "train_section",
+    [
+        {"algorithm": "GD", "eta": 0.05, "total_steps": 25},
+        {"algorithm": "SGD", "eta": 0.05, "batch": 8, "total_steps": 25},
+        {"algorithm": "SGLD", "eta": 0.05, "beta": 100.0, "total_steps": 25},
+        {"algorithm": "GF", "eta": 0.1, "duration": 0.05, "gf_substep": 0.005},
+    ],
+    ids=lambda section: section["algorithm"],
+)
+def test_bound_recompute_matches_train(tmp_path, train_section):
+    doc = _base_config(train=train_section)
+    cfg = _write(tmp_path, doc)
     out = tmp_path / "run"
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
     report_path = tmp_path / "recomputed.json"
@@ -162,6 +179,41 @@ def test_bound_recompute_matches_train(tmp_path):
     assert recomputed["bound"] == original["bound"]
     assert recomputed["cl"] == original["cl"]
     assert recomputed["init_sq_norms"] == original["init_sq_norms"]
+    traj = cli.read_trajectory_csv(str(out / "trajectory.csv"), cli.build_spec(doc), doc)
+    _, series = cli._assemble(doc, traj)
+    assert series.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
+
+
+@pytest.mark.parametrize(
+    "train_section",
+    [
+        {"algorithm": "GD", "eta": 1e5, "total_steps": 400, "kappa": 4.0},
+        # 2*eta overflows, so the noise and the parameters turn infinite
+        {"algorithm": "SGLD", "eta": 1e308, "beta": 10.0, "total_steps": 50, "kappa": 4.0},
+    ],
+    ids=lambda section: section["algorithm"],
+)
+def test_diverged_run_flags_train_and_bound(tmp_path, capsys, train_section):
+    doc = _base_config(
+        network={"input_dim": 3, "fc_widths": [16, 16], "output_width": 16, "norm_exponent": 0.0},
+        train=train_section,
+        data={"n_train": 16, "n_test": 0},
+    )
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "run"
+    report_path = tmp_path / "recomputed.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 1
+        capsys.readouterr()
+        code = cli.main([
+            "bound", "--config", cfg, "--trajectory", str(out / "trajectory.csv"), "--out", str(report_path)
+        ])
+    marker = (out / "trajectory.csv").read_text().splitlines()[-1]
+    assert marker.startswith("# diverged at step ")
+    step = int(marker.rsplit(" ", 1)[1])
+    assert code == 1
+    assert f"trajectory diverged at step {step}" in capsys.readouterr().err
+    assert json.loads(report_path.read_text())["cl"] == json.loads((out / "report.json").read_text())["cl"]
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
@@ -286,10 +338,15 @@ def test_idx_config_source(tmp_path):
 
 def test_console_script_smoke(tmp_path):
     cfg = _write(tmp_path, _base_config(train={"algorithm": "GD", "eta": 0.05, "total_steps": 5}))
+    # the child imports genbound from where this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "genbound.cli", "train", "--config", cfg, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "bound" in proc.stdout

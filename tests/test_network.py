@@ -7,7 +7,6 @@ from genbound.checks import (
     finite_diff_grad,
     random_cnn_spec,
     random_fnn_spec,
-    random_params,
     sample_kink_free,
 )
 from genbound.network import (
@@ -60,7 +59,7 @@ def test_forward_matches_dense_oracle_fnn():
     rng = np.random.default_rng(0)
     for _ in range(50):
         spec = random_fnn_spec(rng)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
         got = forward(params, x).f
@@ -72,7 +71,7 @@ def test_forward_matches_dense_oracle_cnn():
     rng = np.random.default_rng(1)
     for _ in range(50):
         spec = random_cnn_spec(rng)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
         got = forward(params, x).f
@@ -83,7 +82,7 @@ def test_forward_matches_dense_oracle_cnn():
 def test_batch_outputs_matches_single_forward():
     rng = np.random.default_rng(2)
     spec = NetworkSpec(input_dim=11, conv_kernels=(3,), fc_widths=(3,), output_width=3, norm_exponent=0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     X = rng.normal(size=(7, 11))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     batch = batch_outputs(params, X)
@@ -96,7 +95,7 @@ def test_gradient_matches_finite_differences():
     checked = 0
     while checked < 40:
         spec = random_fnn_spec(rng, max_width=8, depth_range=(2, 4)) if checked % 2 else random_cnn_spec(rng, max_fc_width=6)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         try:
             x, _ = sample_kink_free(params, rng, margin=1e-3)
         except RuntimeError:
@@ -113,7 +112,7 @@ def test_positive_homogeneity_single_layer():
     # scaling one layer by c > 0 scales the output by c
     rng = np.random.default_rng(4)
     spec = NetworkSpec(input_dim=4, conv_kernels=(), fc_widths=(6, 5), output_width=5, norm_exponent=0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     x = rng.normal(size=4)
     x /= np.linalg.norm(x) * 1.3
     f0 = forward(params, x).f
@@ -125,7 +124,7 @@ def test_positive_homogeneity_single_layer():
 def test_positive_homogeneity_all_layers():
     rng = np.random.default_rng(5)
     spec = NetworkSpec(input_dim=11, conv_kernels=(3,), fc_widths=(3,), output_width=3, norm_exponent=1.0)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     x = rng.normal(size=11)
     x /= np.linalg.norm(x) * 1.2
     f0 = forward(params, x).f
@@ -139,7 +138,7 @@ def test_euler_identity_layerwise():
     rng = np.random.default_rng(6)
     for _ in range(20):
         spec = random_cnn_spec(rng)
-        params = random_params(spec, rng)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
         f = forward(params, x).f
@@ -179,7 +178,7 @@ def test_loss_and_grad_quadratic():
     # n=1, f - y residual: loss = (f-y)^2 / 2, gradient via chain rule vs FD
     rng = np.random.default_rng(7)
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     X = rng.normal(size=(6, 3))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     y = rng.uniform(-0.3, 0.3, size=6)
@@ -201,7 +200,7 @@ def test_loss_and_grad_quadratic():
 def test_loss_power_four_matches_definition():
     rng = np.random.default_rng(8)
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
-    params = random_params(spec, rng)
+    params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     X = rng.normal(size=(5, 3)) * 0.25
     y = rng.uniform(-0.3, 0.3, size=5)
     loss, _ = loss_and_grad(params, X, y, loss_power=4)

@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 
 from genbound.data import Dataset, synth_regression
-from genbound.network import NetworkSpec, Parameters
+from genbound.network import NetworkSpec, Parameters, init_gaussian, loss_and_grad
 from genbound.training import (
     DivergenceError,
     TrainConfig,
-    all_indices_once,
+    _update,
     estimate_c_f,
-    gd_step,
-    gf_integrate,
     lr_schedule,
     max_feasible_eta,
-    sgd_step,
-    sgld_step,
     train,
 )
 
-from oracles import cl_resum, gf_closed_form
+from oracles import cl_resum, gf_closed_form_loss
 
 
 def _width_one_net():
@@ -46,43 +42,71 @@ def test_gd_step_by_hand():
     # eta = 0.1 lands both weights at 0.9
     _, params, ds = _width_one_net()
     cfg = TrainConfig(algorithm="GD", eta=0.1, alpha=1.0, t0=1)
-    moved = gd_step(params, ds, 0, cfg)
+
+    def step(p, t):
+        _, grads = loss_and_grad(p, ds.inputs, ds.targets)
+        eta_t = lr_schedule(t, cfg.eta, cfg.alpha, cfg.t0)
+        return _update(p, grads, eta_t, cfg, ds, None)[0]
+
+    moved = step(params, 0)
     np.testing.assert_allclose(moved.layers[0], [[0.9]], atol=1e-15)
     np.testing.assert_allclose(moved.layers[1], [0.9], atol=1e-15)
     # second step uses eta_1 = eta/2 and the new gradient 0.9^3
-    moved2 = gd_step(moved, ds, 1, cfg)
+    moved2 = step(moved, 1)
     np.testing.assert_allclose(moved2.layers[1], [0.9 - 0.05 * 0.9**3], atol=1e-15)
 
 
 def test_gf_matches_closed_form():
-    # both weights follow u(t) = (1+2t)^(-1/2) on this datum
-    _, params, ds = _width_one_net()
-    cfg = TrainConfig(algorithm="GF", eta=0.1, duration=1.0, gf_substep=1e-3)
-    traj = gf_integrate(params, ds, 1.0, 1e-3, cfg)
-    u_end = traj.final_params.layers[1][0]
-    assert abs(u_end - gf_closed_form(1.0)) < 1e-3 * gf_closed_form(1.0)
-    # intermediate rows track the flow too
-    k = 500
-    assert abs(math.sqrt(2 * traj.ln_train[k]) - gf_closed_form(0.5) ** 2) < 2e-3
+    # seed 0 draws w > 0 > a; the flow keeps w^2 - a^2 fixed, which with the
+    # initial loss determines the whole loss curve
+    spec, _, ds = _width_one_net()
+    cfg = TrainConfig(algorithm="GF", duration=1.0, gf_substep=1e-3, seed=0, kappa=6.0)
+    traj = train(spec, ds, cfg)
+    w0sq, a0sq = traj.normsq[0]
+    want = gf_closed_form_loss(traj.times, traj.ln_train[0], w0sq - a0sq)
+    assert traj.ln_train[-1] < 0.25 * traj.ln_train[0]
+    np.testing.assert_allclose(traj.ln_train, want, rtol=2e-3)
+    np.testing.assert_allclose(traj.normsq[:, 0] - traj.normsq[:, 1], w0sq - a0sq, rtol=2e-3)
 
 
 def test_gf_substep_count_and_times():
-    _, params, ds = _width_one_net()
-    cfg = TrainConfig(algorithm="GF", eta=0.1, duration=0.05, gf_substep=0.01)
-    traj = gf_integrate(params, ds, 0.05, 0.01, cfg)
+    spec, _, ds = _width_one_net()
+    traj = train(spec, ds, TrainConfig(algorithm="GF", eta=0.1, duration=0.05, gf_substep=0.01))
     assert traj.steps.shape == (6,)
+    assert traj.gradsq.shape == (5, 2)
     np.testing.assert_allclose(traj.times, np.arange(6) * 0.01, atol=1e-15)
     np.testing.assert_allclose(traj.eta, np.full(6, 0.01), atol=1e-15)
+    # the substep defaults to eta/100, and a duration shorter than half of
+    # it still takes one substep
+    short = train(spec, ds, TrainConfig(algorithm="GF", eta=0.1, duration=4e-4))
+    assert short.steps.shape == (2,)
+    np.testing.assert_array_equal(short.eta, [1e-3, 1e-3])
+
+
+class _AllIndices:
+    """Stands in for the SGD sample stream: every index once, in order."""
+
+    def integers(self, low, high, size):
+        return np.arange(low, high)
 
 
 def test_sgd_full_batch_sampler_equals_gd():
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
     ds = synth_regression(32, seed=0)
-    cfg_gd = TrainConfig(algorithm="GD", eta=0.05, total_steps=30, seed=4)
-    cfg_sgd = TrainConfig(algorithm="SGD", eta=0.05, batch=32, total_steps=30, seed=4)
-    t_gd = train(spec, ds, cfg_gd)
-    t_sgd = train(spec, ds, cfg_sgd, sampler=all_indices_once)
+    params = init_gaussian(spec, 1.0, 4)
+    _, grads = loss_and_grad(params, ds.inputs, ds.targets)
+    gd, gd_grads = _update(params, grads, 0.05, TrainConfig(algorithm="GD"), ds, None)
+    cfg_sgd = TrainConfig(algorithm="SGD", batch=32)
+    sgd, sgd_grads = _update(params, None, 0.05, cfg_sgd, ds, _AllIndices())
+    for a, b in zip(gd.layers + gd_grads, sgd.layers + sgd_grads):
+        np.testing.assert_array_equal(a, b)
+    # on a one-point dataset every draw is the full batch, so the whole
+    # SGD run, loss log included, is the GD run
+    one = synth_regression(1, seed=0)
+    t_gd = train(spec, one, TrainConfig(algorithm="GD", eta=0.05, total_steps=30, seed=4))
+    t_sgd = train(spec, one, TrainConfig(algorithm="SGD", eta=0.05, batch=1, total_steps=30, seed=4))
     np.testing.assert_array_equal(t_gd.ln_train, t_sgd.ln_train)
+    np.testing.assert_array_equal(t_gd.gradsq, t_sgd.gradsq)
     for a, b in zip(t_gd.final_params.layers, t_sgd.final_params.layers):
         np.testing.assert_array_equal(a, b)
 
@@ -103,28 +127,33 @@ def test_sgld_noise_scale():
     # the injected perturbation has per-coordinate variance 2*eta_t/beta
     _, params, ds = _width_one_net()
     beta, eta = 4.0, 0.1
-    cfg = TrainConfig(algorithm="SGLD", eta=eta, beta=beta, total_steps=1)
-    clean = gd_step(params, ds, 0, cfg)
-    draws = np.empty(4000)
-    for i in range(draws.shape[0]):
-        rng = np.random.default_rng(1000 + i)
-        noisy = sgld_step(params, ds, 0, cfg, rng)
-        draws[i] = noisy.layers[1][0] - clean.layers[1][0]
+    cfg = TrainConfig(algorithm="SGLD", eta=eta, beta=beta)
+    _, grads = loss_and_grad(params, ds.inputs, ds.targets)
+    clean, _ = _update(params, grads, eta, TrainConfig(algorithm="GD"), ds, None)
+    rng = np.random.default_rng(1000)
+    draws = np.array(
+        [_update(params, grads, eta, cfg, ds, rng)[0].layers[1][0] for _ in range(4000)]
+    ) - clean.layers[1][0]
     want_var = 2.0 * eta / beta
     assert abs(np.var(draws) - want_var) < 0.1 * want_var
     assert abs(np.mean(draws)) < 0.05
 
 
-def test_sgd_step_returns_indices():
+def test_sgd_draws_minibatch_from_sample_stream():
+    # the first step moves along the gradient of the minibatch drawn from
+    # the [seed, 17] stream, not along the full-data gradient
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
     ds = synth_regression(16, seed=2)
-    params = Parameters(spec, [np.full((3, 4), 0.1), np.full(4, 0.1)])
-    cfg = TrainConfig(algorithm="SGD", eta=0.01, batch=4)
-    rng = np.random.default_rng(0)
-    moved, idx = sgd_step(params, ds, 0, cfg, rng)
-    assert idx.shape == (4,)
-    assert np.all((0 <= idx) & (idx < 16))
-    assert any(not np.array_equal(a, b) for a, b in zip(moved.layers, params.layers))
+    cfg = TrainConfig(algorithm="SGD", eta=0.01, batch=4, total_steps=1, seed=3)
+    traj = train(spec, ds, cfg)
+    idx = np.random.default_rng(np.random.SeedSequence([3, 17])).integers(0, 16, size=4)
+    params0 = init_gaussian(spec, cfg.kappa, cfg.seed)
+    _, grads = loss_and_grad(params0, ds.inputs[idx], ds.targets[idx])
+    _, full = loss_and_grad(params0, ds.inputs, ds.targets)
+    assert not np.allclose(grads[0], full[0])
+    np.testing.assert_array_equal(traj.gradsq[0], [float(np.sum(g * g)) for g in grads])
+    for got, w, g in zip(traj.final_params.layers, params0.layers, grads):
+        np.testing.assert_array_equal(got, w - 0.01 * g)
 
 
 def test_cl_column_is_exclusive_prefix():
@@ -182,6 +211,19 @@ def test_divergence_guard():
     assert err.trajectory.diverged_at == err.step
     assert err.trajectory.ln_train.shape[0] == err.step + 1
     assert err.trajectory.ln_train[-1] > 1e6 or not math.isfinite(err.trajectory.ln_train[-1])
+
+
+def test_overflowing_step_is_divergence():
+    # 2*eta overflows, so the SGLD noise is infinite: the step's non-finite
+    # parameters end the run as a divergence, keeping the rows so far
+    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(16,), output_width=16, norm_exponent=0.5)
+    cfg = TrainConfig(algorithm="SGLD", eta=1e308, beta=10, kappa=4, total_steps=50)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        train(spec, synth_regression(128, 0), cfg)
+    traj = info.value.trajectory
+    assert info.value.step == traj.diverged_at == 1
+    assert traj.ln_train.shape == (2,)
+    assert np.all(np.isfinite(traj.normsq[0])) and not np.all(np.isfinite(traj.normsq[1]))
 
 
 def test_config_validation():
