@@ -2,8 +2,7 @@
 
 All commands read a single JSON config (strictly validated: unknown keys
 are rejected with their path) and write deterministic artifacts: given the
-same config and seeds, reruns are byte-identical.  The environment
-variable GENBOUND_THREADS caps how many runs a sweep fans out at once.
+same config and seeds, reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,19 +183,6 @@ def build_datasets(doc: dict):
     raise ConfigError(f"unknown data source '{source}'")
 
 
-def _max_workers(n_jobs: int) -> int:
-    env = os.environ.get("GENBOUND_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"GENBOUND_THREADS must be an integer, got '{env}'")
-        if cap < 1:
-            raise ConfigError("GENBOUND_THREADS must be >= 1")
-        return min(cap, n_jobs)
-    return min(4, n_jobs)
-
-
 @dataclass
 class RunResult:
     seed: int
@@ -318,12 +303,7 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     seeds = [int(args.seed)] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
     ds, ds_test = build_datasets(doc)
-    workers = _max_workers(len(seeds))
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: run_one(doc, spec, ds, ds_test, s), seeds))
-    else:
-        results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
+    results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
     primary = results[0]
     assembled = [_assemble(doc, res.trajectory) for res in results]
     if len(results) > 1:
@@ -428,9 +408,7 @@ def cmd_compare(args) -> int:
         return run_one(local, spec, ds, ds_test, seed)
 
     jobs = [("SGLD", b) for b in betas] + [("GD", None)]
-    workers = _max_workers(len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda ab: run_with(*ab), jobs))
+    results = [run_with(algorithm, beta) for algorithm, beta in jobs]
     rows = []
     for (algorithm, beta), res in zip(jobs, results):
         traj = res.trajectory
@@ -516,9 +494,7 @@ def cmd_sweep(args) -> int:
             any(res.diverged for res in results),
         )
 
-    workers = _max_workers(len(values))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_value, values))
+    rows = [run_value(value) for value in values]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("axis,value,cl,bound,cl_seed_mean,bound_seed_mean\n")

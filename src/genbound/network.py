@@ -236,8 +236,25 @@ def _check_inputs(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_batch(params: Parameters, X: np.ndarray):
-    """Batched forward pass. Returns (outputs, activations, pre-activations)."""
+def _buffer(workspace: dict | None, key: tuple, shape: tuple, dtype=float) -> np.ndarray:
+    """Scratch array for `key`: fresh without a workspace, else kept in it.
+
+    A kept buffer is reallocated only when the shape it is asked for changes.
+    """
+    if workspace is None:
+        return np.empty(shape, dtype)
+    buf = workspace.get(key)
+    if buf is None or buf.shape != shape:
+        buf = workspace[key] = np.empty(shape, dtype)
+    return buf
+
+
+def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = None):
+    """Batched forward pass. Returns (outputs, activations, pre-activations).
+
+    With a workspace, the fc pre-activations and activations are written
+    into its buffers, so they hold until the next pass with that workspace.
+    """
     spec = params.spec
     Z = X
     zs = [Z]
@@ -253,21 +270,30 @@ def _forward_batch(params: Parameters, X: np.ndarray):
             y = np.maximum(pre, 0.0)
             Z = y.reshape(Z.shape[0], m_out, s).mean(axis=2)
         else:
-            pre = Z @ W
-            Z = np.maximum(pre, 0.0)
+            shape = (Z.shape[0], W.shape[1])
+            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "pre"), shape))
+            Z = np.maximum(pre, 0.0, out=_buffer(workspace, (l, "z"), shape))
         pres.append(pre)
         zs.append(Z)
     f = (Z @ params.layers[-1]) * spec.out_scale
     return f, zs, pres
 
 
-def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray):
-    """Gradient of sum_i coef_i * f(x_i) with respect to every layer."""
+def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: dict | None = None):
+    """Gradient of sum_i coef_i * f(x_i) with respect to every layer.
+
+    With a workspace, the fc weight gradients live in its buffers and are
+    overwritten by the next pass with that workspace.
+    """
     spec = params.spec
+    n = coef.shape[0]
     grads: list[np.ndarray] = [np.empty(0)] * len(params.layers)
     grads[-1] = spec.out_scale * (zs[-1].T @ coef)
-    G = spec.out_scale * np.outer(coef, params.layers[-1])
-    for l in range(len(params.layers) - 2, -1, -1):
+    top = len(params.layers) - 2
+    G = _buffer(workspace, (top, "G"), (n, spec.output_width))
+    np.outer(coef, params.layers[-1], out=G)
+    G *= spec.out_scale
+    for l in range(top, -1, -1):
         W = params.layers[l]
         pre = pres[l]
         Zin = zs[l]
@@ -285,10 +311,16 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray):
                 for j in range(s):
                     G[:, j : j + K] += W[j] * D
         else:
-            D = np.where(pre > 0.0, G, 0.0)
-            grads[l] = Zin.T @ D
+            # np.where(pre > 0, G, 0.0) in place: multiplying G's bit patterns
+            # by the 0/1 mask keeps each bit where the unit is on and gives
+            # +0.0 where it is off (pre <= 0 or NaN), signed zeros and NaN
+            # alike, with no branch per entry as a masked copy would take
+            on = np.greater(pre, 0.0, out=_buffer(workspace, (l, "on"), pre.shape, bool))
+            bits = G.view(np.uint64)
+            np.multiply(bits, on, out=bits)
+            grads[l] = np.matmul(Zin.T, G, out=_buffer(workspace, (l, "grad"), W.shape))
             if l > 0:
-                G = D @ W.T
+                G = np.matmul(G, W.T, out=_buffer(workspace, (l - 1, "G"), Zin.shape))
     return grads
 
 
@@ -310,10 +342,16 @@ def forward(params: Parameters, x: np.ndarray) -> ForwardTrace:
     )
 
 
-def batch_outputs(params: Parameters, X: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch of inputs, shape (n,)."""
-    X = _check_inputs(params.spec, X)
-    f, _, _ = _forward_batch(params, X)
+def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+    """Network outputs for a batch of inputs, shape (n,).
+
+    `workspace` is private to the training loop, which checks its inputs
+    once up front: with one, X is used as given and the intermediates go
+    into the workspace's buffers.
+    """
+    if workspace is None:
+        X = _check_inputs(params.spec, X)
+    f, _, _ = _forward_batch(params, X, workspace)
     return f
 
 
@@ -328,16 +366,23 @@ def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:
     return _backward_batch(params, zs, pres, np.ones(1))
 
 
-def _loss_grad_outputs(params: Parameters, X: np.ndarray, y: np.ndarray, loss_power: int):
-    """Empirical loss, its per-layer gradient, and the raw outputs."""
-    X = _check_inputs(params.spec, X)
+def _loss_grad_outputs(
+    params: Parameters, X: np.ndarray, y: np.ndarray, loss_power: int, workspace: dict | None = None
+):
+    """Empirical loss, its per-layer gradient, and the raw outputs.
+
+    With a workspace (see `batch_outputs`) X is used as given, and the fc
+    gradients are the workspace's buffers, valid until its next pass.
+    """
+    if workspace is None:
+        X = _check_inputs(params.spec, X)
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError(f"expected targets of shape ({X.shape[0]},), got {y.shape}")
     if loss_power < 2 or int(loss_power) != loss_power:
         raise ValueError("loss_power must be an integer >= 2")
     n = X.shape[0]
-    f, zs, pres = _forward_batch(params, X)
+    f, zs, pres = _forward_batch(params, X, workspace)
     res = f - y
     if loss_power == 2:
         loss = 0.5 * float(res @ res) / n
@@ -346,7 +391,7 @@ def _loss_grad_outputs(params: Parameters, X: np.ndarray, y: np.ndarray, loss_po
         a = int(loss_power)
         loss = float(np.sum(np.abs(res) ** a)) / (a * n)
         coef = np.sign(res) * np.abs(res) ** (a - 1) / n
-    grads = _backward_batch(params, zs, pres, coef)
+    grads = _backward_batch(params, zs, pres, coef, workspace)
     return loss, grads, f
 
 

@@ -172,19 +172,22 @@ def _integrand(ln: float, c_y: float, loss_power: int) -> float:
     return power_integrand(ln, c_y, loss_power)
 
 
-def _update(params: Parameters, grads, eta_t: float, config: TrainConfig, dataset, rng):
+def _update(
+    params: Parameters, grads, eta_t: float, config: TrainConfig, dataset, rng, workspace=None
+):
     """One step of config.algorithm; returns (new params, gradient the step used).
 
     GD and GF move along the full-data gradient `grads`.  SGD ignores it and
-    moves along the gradient of a minibatch drawn from rng; SGLD adds
-    N(0, 2*eta_t/beta) noise from rng to the GD step (none at beta = inf).
-    The result skips the entry scan of `Parameters`: `train` checks the
-    logged layer norms instead, so an overflow ends as a divergence.
+    moves along the gradient of a minibatch drawn from rng, computed in
+    `workspace`; SGLD adds N(0, 2*eta_t/beta) noise from rng to the GD step
+    (none at beta = inf).  The result skips the entry scan of `Parameters`:
+    `train` checks the logged layer norms instead, so an overflow ends as a
+    divergence.
     """
     if config.algorithm == "SGD":
         idx = rng.integers(0, dataset.n, size=config.batch)
         _, grads, _ = _loss_grad_outputs(
-            params, dataset.inputs[idx], dataset.targets[idx], config.loss_power
+            params, dataset.inputs[idx], dataset.targets[idx], config.loss_power, workspace
         )
     layers = [w - eta_t * g for w, g in zip(params.layers, grads)]
     if config.algorithm == "SGLD" and config.beta != math.inf:
@@ -255,8 +258,8 @@ class _TrajectoryLog:
         )
 
 
-def _batch_loss(params, X, y, loss_power) -> tuple[float, np.ndarray]:
-    f = batch_outputs(params, X)
+def _batch_loss(params, X, y, loss_power, workspace) -> tuple[float, np.ndarray]:
+    f = batch_outputs(params, X, workspace)
     res = f - y
     if loss_power == 2:
         return 0.5 * float(res @ res) / X.shape[0], f
@@ -344,6 +347,12 @@ def train(
     leaves non-finite parameters.
     """
     config.validate(spec.n_hidden)
+    for ds in (dataset, test_dataset):
+        # a Dataset already keeps its inputs in the unit ball
+        if ds is not None and ds.inputs.shape[1] != spec.input_dim:
+            raise ValueError(
+                f"expected inputs of shape (n, {spec.input_dim}), got {ds.inputs.shape}"
+            )
     params = init_gaussian(spec, config.kappa, config.seed)
     if config.algorithm == "GF":
         h = config.gf_substep if config.gf_substep is not None else config.eta / 100.0
@@ -354,29 +363,33 @@ def train(
     stream = 17 if config.algorithm == "SGD" else 29
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), stream]))
     log = _TrajectoryLog(spec, config, dataset, h)
+    # buffers reused by every step: full data, SGD minibatch, test set
+    ws_full, ws_batch, ws_test = {}, {}, {}
     for t in range(n_steps + 1):
         if config.algorithm == "GF":
             eta_t = h
         else:
             eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
         if config.algorithm == "SGD":
-            ln, f = _batch_loss(params, dataset.inputs, dataset.targets, config.loss_power)
+            ln, f = _batch_loss(
+                params, dataset.inputs, dataset.targets, config.loss_power, ws_full
+            )
             grads = None
         else:
             ln, grads, f = _loss_grad_outputs(
-                params, dataset.inputs, dataset.targets, config.loss_power
+                params, dataset.inputs, dataset.targets, config.loss_power, ws_full
             )
         log.see_outputs(f)
         ln_test = None
         if test_dataset is not None:
             ln_test, f_te = _batch_loss(
-                params, test_dataset.inputs, test_dataset.targets, config.loss_power
+                params, test_dataset.inputs, test_dataset.targets, config.loss_power, ws_test
             )
             log.see_outputs(f_te)
         log.log_state(t, eta_t, ln, ln_test, params)
         if t == n_steps:
             break
         log.advance_cl()
-        params, grads = _update(params, grads, eta_t, config, dataset, rng)
+        params, grads = _update(params, grads, eta_t, config, dataset, rng, ws_batch)
         log.log_grads(grads)
     return log.build(params)

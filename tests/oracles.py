@@ -52,6 +52,38 @@ def dense_forward(params, x: np.ndarray) -> float:
     return float(spec.out_scale * (a @ z))
 
 
+def fnn_loss_grad_where(params, X: np.ndarray, y: np.ndarray, loss_power: int):
+    """(loss, layer gradients, outputs) of a fully-connected net, fresh arrays.
+
+    The exception to the different-style rule: this is the batched backprop
+    the package ran before its workspace buffers, ReLU masks by `np.where`,
+    kept operation for operation so a comparison with it can be bitwise,
+    signed zeros included.
+    """
+    spec = params.spec
+    zs, pres = [X], []
+    for w in params.layers[:-1]:
+        pres.append(zs[-1] @ w)
+        zs.append(np.maximum(pres[-1], 0.0))
+    f = (zs[-1] @ params.layers[-1]) * spec.out_scale
+    n = X.shape[0]
+    res = f - y
+    if loss_power == 2:
+        loss = 0.5 * float(res @ res) / n
+        coef = res / n
+    else:
+        loss = float(np.sum(np.abs(res) ** loss_power)) / (loss_power * n)
+        coef = np.sign(res) * np.abs(res) ** (loss_power - 1) / n
+    grads = [None] * len(params.layers)
+    grads[-1] = spec.out_scale * (zs[-1].T @ coef)
+    G = spec.out_scale * np.outer(coef, params.layers[-1])
+    for l in range(len(params.layers) - 2, -1, -1):
+        D = np.where(pres[l] > 0.0, G, 0.0)
+        grads[l] = zs[l].T @ D
+        G = D @ params.layers[l].T
+    return loss, grads, f
+
+
 def cl_resum(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Prefix sums of 2*eta*psi by plain accumulation; row t excludes step t."""
     out = [0.0]

@@ -103,16 +103,45 @@ def test_train_rerun_byte_identical(tmp_path):
         assert _read_bytes(a / name) == _read_bytes(b / name), name
 
 
-def test_train_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, _base_config(seeds=[0, 1, 2]))
+def _tree_bytes(root):
+    """Every file under root, keyed by its path relative to root."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            out[os.path.relpath(path, root)] = _read_bytes(path)
+    return out
+
+
+def test_sweep_rerun_byte_identical(tmp_path):
+    doc = _base_config(
+        train={"algorithm": "SGD", "eta": 0.5, "alpha": 0.9, "batch": 8, "total_steps": 30},
+        data={"kind": "classification", "c_y": 0.25, "n_test": 0},
+        sweep={"axis": "noise", "values": [0.0, 0.5]},
+        seeds=[0, 1],
+    )
+    cfg = _write(tmp_path, doc)
     a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("GENBOUND_THREADS", "3")
-    assert cli.main(["train", "--config", cfg, "--out", str(a)]) == 0
-    monkeypatch.setenv("GENBOUND_THREADS", "1")
-    assert cli.main(["train", "--config", cfg, "--out", str(b)]) == 0
-    assert _read_bytes(a / "report.json") == _read_bytes(b / "report.json")
-    monkeypatch.setenv("GENBOUND_THREADS", "zero")
-    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    assert cli.main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+    assert cli.main(["sweep", "--config", cfg, "--out", str(b)]) == 0
+    files = _tree_bytes(a)
+    assert set(files) == {
+        "sweep.csv",
+        *(os.path.join(f"noise_{v}", name) for v in (0.0, 0.5) for name in ("trajectory.csv", "report.json")),
+    }
+    assert files == _tree_bytes(b)
+
+
+def test_compare_rerun_byte_identical(tmp_path):
+    doc = _base_config(
+        train={"algorithm": "SGLD", "eta": 0.05, "total_steps": 30, "beta": 100.0},
+        compare={"betas": [10, 1000], "loss_bound": 0.25, "lip": 1.0},
+    )
+    cfg = _write(tmp_path, doc)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["compare", "--config", cfg, "--out", str(a)]) == 0
+    assert cli.main(["compare", "--config", cfg, "--out", str(b)]) == 0
+    assert _tree_bytes(a) == _tree_bytes(b) != {}
 
 
 def test_train_seed_override(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genbound.checks import (
     finite_diff_grad,
@@ -12,6 +14,7 @@ from genbound.checks import (
 from genbound.network import (
     NetworkSpec,
     Parameters,
+    _loss_grad_outputs,
     batch_outputs,
     forward,
     grad_f,
@@ -19,7 +22,7 @@ from genbound.network import (
     loss_and_grad,
 )
 
-from oracles import dense_forward
+from oracles import dense_forward, fnn_loss_grad_where
 
 
 def test_conv_chaining_accepts_valid_dims():
@@ -153,6 +156,53 @@ def test_relu_derivative_zero_at_kink():
     params = init_gaussian(spec, 1.0, seed=0)
     grads = grad_f(params, np.zeros(2))
     assert float(np.max(np.abs(grads[0]))) == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    p=st.sampled_from([0.0, 0.25, 1.0]),
+    sizes=st.lists(st.integers(1, 50), min_size=2, max_size=2),
+    loss_power=st.sampled_from([2, 4]),
+    dead=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_workspace_matches_fresh_arrays_bitwise(widths, p, sizes, loss_power, dead, seed):
+    # one workspace serves two parameter draws and two batch sizes; every
+    # result must carry the bytes of the call without a workspace, and those
+    # the bytes of the np.where backprop
+    spec = NetworkSpec(3, (), tuple(widths), widths[-1], p)
+    rng = np.random.default_rng(seed)
+    live = init_gaussian(spec, 1.0, rng)
+    # the second draw switches one layer off: its pre-activations are all
+    # <= 0 (zero on the first layer, whose inputs take either sign), so
+    # every unit is zeroed in place and signed zeros flow through
+    layers = init_gaussian(spec, 1.0, rng).layers
+    dead = min(dead, spec.n_hidden - 1)
+    layers[dead] = layers[dead] * 0.0 if dead == 0 else -np.abs(layers[dead])
+    switched_off = Parameters(spec, layers)
+    workspace: dict = {}
+    for params in (live, switched_off):
+        for n in sizes:
+            X = rng.normal(size=(n, 3))
+            X /= 1.0 + np.linalg.norm(X, axis=1, keepdims=True)
+            y = rng.uniform(-0.5, 0.5, size=n)
+            want = fnn_loss_grad_where(params, X, y, loss_power)
+            for got in (
+                _loss_grad_outputs(params, X, y, loss_power),
+                _loss_grad_outputs(params, X, y, loss_power, workspace),
+            ):
+                assert _same_bits(got[0], want[0])
+                assert _same_bits(got[2], want[2])
+                assert len(got[1]) == len(want[1])
+                for g_got, g_want in zip(got[1], want[1]):
+                    assert _same_bits(g_got, g_want)
+            assert _same_bits(batch_outputs(params, X, workspace), batch_outputs(params, X))
 
 
 def test_init_layer_norm_scale():

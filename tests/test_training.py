@@ -226,6 +226,19 @@ def test_overflowing_step_is_divergence():
     assert np.all(np.isfinite(traj.normsq[0])) and not np.all(np.isfinite(traj.normsq[1]))
 
 
+def test_input_width_checked_once_up_front():
+    # a mismatch is the input check's ValueError, not a shape error from
+    # inside a workspace buffer, for the training set and for the test set
+    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
+    wide = Dataset(np.full((8, 4), 0.25), np.zeros(8), c_y=0.5)
+    message = r"expected inputs of shape \(n, 3\), got \(8, 4\)"
+    for algorithm in ("GD", "SGD"):
+        with pytest.raises(ValueError, match=message):
+            train(spec, wide, TrainConfig(algorithm=algorithm, batch=4, total_steps=3))
+    with pytest.raises(ValueError, match=message):
+        train(spec, synth_regression(8, 0), TrainConfig(total_steps=3), test_dataset=wide)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(algorithm="ADAM").validate()
