@@ -18,11 +18,11 @@ from .data import Dataset, synth_regression
 from .network import (
     NetworkSpec,
     Parameters,
+    _loss_grad_outputs,
     batch_outputs,
     forward,
     grad_f,
     init_gaussian,
-    loss_and_grad,
 )
 from .training import TrainConfig, Trajectory, estimate_c_f, max_feasible_eta, train
 
@@ -363,15 +363,13 @@ def check_loss_decomposition(params: Parameters, dataset: Dataset) -> CheckOutco
     Identity: -(2/n) sum (f - y) f = -4 L_n - (2/n) sum (f - y) y, and per
     layer -2 <layer, d L_n/d layer> <= 2 psi(L_n).
     """
-    f = batch_outputs(params, dataset.inputs)
     y = dataset.targets
     n = dataset.n
+    ln, grads, f = _loss_grad_outputs(params, dataset.inputs, y, 2)
     res = f - y
-    ln = 0.5 * float(res @ res) / n
     lhs = -2.0 * float(res @ f) / n
     rhs = -4.0 * ln - 2.0 * float(res @ y) / n
     worst = _rel(abs(lhs - rhs), rhs)
-    _, grads = loss_and_grad(params, dataset.inputs, y, 2)
     cap = 2.0 * psi(ln, dataset.c_y)
     for W, g in zip(params.layers, grads):
         descent = -2.0 * float(np.sum(W * g))

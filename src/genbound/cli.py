@@ -106,16 +106,23 @@ def build_spec(doc: dict) -> NetworkSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"section 'network' is missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid network: {exc}") from exc
 
 
+def _seeds(doc: dict) -> list[int]:
+    seeds = doc.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
+        raise ConfigError("seeds must be a nonempty list of integers")
+    return seeds
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def _parse_beta(value):
-    if value is None:
-        return None
-    if value == "inf":
-        return math.inf
-    return float(value)
+    return math.inf if value == "inf" else _optional_float(value)
 
 
 def build_train_config(doc: dict, seed: int, eta_override: float | None = None) -> TrainConfig:
@@ -136,12 +143,12 @@ def build_train_config(doc: dict, seed: int, eta_override: float | None = None) 
         batch=int(tr.get("batch", 1)),
         beta=_parse_beta(tr.get("beta")),
         total_steps=int(tr.get("total_steps", 100)),
-        duration=tr.get("duration"),
-        gf_substep=tr.get("gf_substep"),
+        duration=_optional_float(tr.get("duration")),
+        gf_substep=_optional_float(tr.get("gf_substep")),
         seed=seed,
         loss_power=int(tr.get("loss_power", 2)),
         lam=float(bd.get("lam", 0.5)),
-        epsilon=bd.get("epsilon"),
+        epsilon=_optional_float(bd.get("epsilon")),
         kappa=float(tr.get("kappa", 1.0)),
     )
     return cfg
@@ -254,6 +261,12 @@ def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
                 diverged_at = int(line.rsplit(" ", 1)[1])
             elif line.strip() and not line.startswith("#"):
                 rows.append([float(v) for v in line.split(",")])
+    n_normsq = sum(name.startswith("normsq_") for name in header)
+    if n_normsq != spec.n_layers or not rows:
+        raise ValueError(
+            f"{path}: expected data rows with {spec.n_layers} normsq columns, "
+            f"got {len(rows)} rows with {n_normsq}"
+        )
     arr = np.array(rows)
     col = {name: i for i, name in enumerate(header)}
     normsq = np.stack(
@@ -301,7 +314,7 @@ def cmd_train(args) -> int:
     spec = build_spec(doc)
     out_dir = args.out or doc.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [int(args.seed)] if args.seed is not None else [int(s) for s in doc.get("seeds", [0])]
+    seeds = [int(args.seed)] if args.seed is not None else _seeds(doc)
     ds, ds_test = build_datasets(doc)
     results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
     primary = results[0]
@@ -393,6 +406,7 @@ def cmd_compare(args) -> int:
         if key not in comp:
             raise ConfigError(f"section 'compare' is missing key '{key}'")
     spec = build_spec(doc)
+    seed = _seeds(doc)[0]
     out_dir = args.out or doc.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
     ds, ds_test = build_datasets(doc)
@@ -404,7 +418,6 @@ def cmd_compare(args) -> int:
         local.setdefault("train", {})["algorithm"] = algorithm
         if beta is not None:
             local["train"]["beta"] = beta
-        seed = int(doc.get("seeds", [0])[0])
         return run_one(local, spec, ds, ds_test, seed)
 
     jobs = [("SGLD", b) for b in betas] + [("GD", None)]
@@ -464,7 +477,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("config sweep.values must be a nonempty list")
     out_dir = args.out or doc.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [int(s) for s in doc.get("seeds", [0])]
+    seeds = _seeds(doc)
 
     def run_value(value):
         local = _sweep_doc(doc, axis, value)

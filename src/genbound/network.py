@@ -32,7 +32,6 @@ __all__ = [
     "batch_outputs",
     "grad_f",
     "loss_and_grad",
-    "layer_norms",
 ]
 
 # Inputs are expected inside the unit ball; slightly larger norms only warn
@@ -195,13 +194,11 @@ class ForwardTrace:
 
     z[l] is the post-layer activation (z[0] is the input), pre[l-1] the
     pre-activation of hidden layer l (for conv layers: all conv positions
-    before pooling), conv_y[l-1] the ReLU output before pooling (None for
-    fc layers), f the scalar output.
+    before pooling), f the scalar output.
     """
 
     z: list[np.ndarray]
     pre: list[np.ndarray]
-    conv_y: list[np.ndarray | None]
     f: float
 
     def kink_margin(self) -> float:
@@ -331,15 +328,7 @@ def forward(params: Parameters, x: np.ndarray) -> ForwardTrace:
     if x.shape != (spec.input_dim,):
         raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
     f, zs, pres = _forward_batch(params, _check_inputs(spec, x[None, :]))
-    conv_y = []
-    for l, pre in enumerate(pres):
-        conv_y.append(np.maximum(pre[0], 0.0) if l < spec.n_conv else None)
-    return ForwardTrace(
-        z=[row[0] for row in zs],
-        pre=[p[0] for p in pres],
-        conv_y=conv_y,
-        f=float(f[0]),
-    )
+    return ForwardTrace(z=[row[0] for row in zs], pre=[p[0] for p in pres], f=float(f[0]))
 
 
 def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = None) -> np.ndarray:
@@ -366,6 +355,15 @@ def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:
     return _backward_batch(params, zs, pres, np.ones(1))
 
 
+def _power_loss(res: np.ndarray, loss_power: int) -> float:
+    """Mean power loss (1/n) sum |res|^a / a of the residuals res = f - y."""
+    n = res.shape[0]
+    if loss_power == 2:
+        return 0.5 * float(res @ res) / n
+    a = int(loss_power)
+    return float(np.sum(np.abs(res) ** a)) / (a * n)
+
+
 def _loss_grad_outputs(
     params: Parameters, X: np.ndarray, y: np.ndarray, loss_power: int, workspace: dict | None = None
 ):
@@ -385,14 +383,11 @@ def _loss_grad_outputs(
     f, zs, pres = _forward_batch(params, X, workspace)
     res = f - y
     if loss_power == 2:
-        loss = 0.5 * float(res @ res) / n
         coef = res / n
     else:
-        a = int(loss_power)
-        loss = float(np.sum(np.abs(res) ** a)) / (a * n)
-        coef = np.sign(res) * np.abs(res) ** (a - 1) / n
+        coef = np.sign(res) * np.abs(res) ** (int(loss_power) - 1) / n
     grads = _backward_batch(params, zs, pres, coef, workspace)
-    return loss, grads, f
+    return _power_loss(res, loss_power), grads, f
 
 
 def loss_and_grad(params: Parameters, X: np.ndarray, y: np.ndarray, loss_power: int = 2):
@@ -400,7 +395,3 @@ def loss_and_grad(params: Parameters, X: np.ndarray, y: np.ndarray, loss_power: 
     loss, grads, _ = _loss_grad_outputs(params, X, y, loss_power)
     return loss, grads
 
-
-def layer_norms(params: Parameters) -> np.ndarray:
-    """Euclidean norm of each layer's parameter block."""
-    return params.norms()

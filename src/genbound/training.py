@@ -21,6 +21,7 @@ from .network import (
     NetworkSpec,
     Parameters,
     _loss_grad_outputs,
+    _power_loss,
     batch_outputs,
     init_gaussian,
 )
@@ -196,75 +197,10 @@ def _update(
     return Parameters._unchecked(params.spec, layers), grads
 
 
-class _TrajectoryLog:
-    """Accumulates rows and enforces the divergence guard."""
-
-    def __init__(self, spec, config: TrainConfig, dataset, time_step: float):
-        self.spec = spec
-        self.algorithm = config.algorithm
-        self.seed = config.seed
-        self.c_y = dataset.c_y
-        self.loss_power = config.loss_power
-        self.n_train = dataset.n
-        self.time_step = time_step
-        self.rows = {k: [] for k in ("eta", "ln", "ln_test", "psi", "cl", "normsq")}
-        self.gradsq: list[np.ndarray] = []
-        self.cl_running = 0.0
-        self.max_abs_f = 0.0
-
-    def log_state(self, step, eta_t, ln, ln_test, params):
-        """Append row `step`; raise DivergenceError if its loss or norms blew up."""
-        r = self.rows
-        r["eta"].append(eta_t)
-        r["ln"].append(ln)
-        r["ln_test"].append(math.nan if ln_test is None else ln_test)
-        r["psi"].append(_integrand(ln, self.c_y, self.loss_power))
-        r["cl"].append(self.cl_running)
-        r["normsq"].append(params.sq_norms())
-        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.all(np.isfinite(r["normsq"][-1])):
-            raise DivergenceError(step, ln, self.build(params, diverged_at=step))
-
-    def advance_cl(self):
-        self.cl_running += 2.0 * self.rows["eta"][-1] * self.rows["psi"][-1]
-
-    def log_grads(self, grads):
-        self.gradsq.append(np.array([float(np.sum(g * g)) for g in grads]))
-
-    def see_outputs(self, f: np.ndarray):
-        self.max_abs_f = max(self.max_abs_f, float(np.max(np.abs(f))))
-
-    def build(self, params, diverged_at=None) -> Trajectory:
-        k = len(self.rows["eta"])
-        n_layers = self.spec.n_layers
-        return Trajectory(
-            algorithm=self.algorithm,
-            spec=self.spec,
-            steps=np.arange(k),
-            times=np.arange(k) * self.time_step,
-            eta=np.array(self.rows["eta"]),
-            ln_train=np.array(self.rows["ln"]),
-            ln_test=np.array(self.rows["ln_test"]),
-            psi=np.array(self.rows["psi"]),
-            cl=np.array(self.rows["cl"]),
-            normsq=np.array(self.rows["normsq"]).reshape(k, n_layers),
-            c_y=self.c_y,
-            loss_power=self.loss_power,
-            n_train=self.n_train,
-            seed=self.seed,
-            gradsq=np.array(self.gradsq).reshape(len(self.gradsq), n_layers),
-            max_abs_f=self.max_abs_f,
-            final_params=params,
-            diverged_at=diverged_at,
-        )
-
-
-def _batch_loss(params, X, y, loss_power, workspace) -> tuple[float, np.ndarray]:
-    f = batch_outputs(params, X, workspace)
-    res = f - y
-    if loss_power == 2:
-        return 0.5 * float(res @ res) / X.shape[0], f
-    a = int(loss_power)
-    return float(np.sum(np.abs(res) ** a)) / (a * X.shape[0]), f
+def _batch_loss(params, ds, loss_power, workspace) -> tuple[float, np.ndarray]:
+    """Loss and outputs on dataset ds from a forward pass alone."""
+    f = batch_outputs(params, ds.inputs, workspace)
+    return _power_loss(f - ds.targets, loss_power), f
 
 
 def estimate_c_f(params: Parameters, X: np.ndarray, margin: float = 1.1) -> float:
@@ -362,7 +298,36 @@ def train(
     # SGD minibatches and SGLD noise each have their own seed stream
     stream = 17 if config.algorithm == "SGD" else 29
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), stream]))
-    log = _TrajectoryLog(spec, config, dataset, h)
+    # row t of each column is written in place; gradsq has a row per transition
+    steps = np.arange(n_steps + 1)
+    eta, ln_train, psi_col, cl = (np.empty(n_steps + 1) for _ in range(4))
+    ln_test = np.full(n_steps + 1, math.nan)
+    normsq = np.empty((n_steps + 1, spec.n_layers))
+    gradsq = np.empty((n_steps, spec.n_layers))
+    cl_running = max_abs_f = 0.0
+
+    def trajectory(rows: int, diverged_at=None) -> Trajectory:
+        return Trajectory(
+            algorithm=config.algorithm,
+            spec=spec,
+            steps=steps[:rows],
+            times=steps[:rows] * h,
+            eta=eta[:rows],
+            ln_train=ln_train[:rows],
+            ln_test=ln_test[:rows],
+            psi=psi_col[:rows],
+            cl=cl[:rows],
+            normsq=normsq[:rows],
+            c_y=dataset.c_y,
+            loss_power=config.loss_power,
+            n_train=dataset.n,
+            seed=config.seed,
+            gradsq=gradsq[: rows - 1],
+            max_abs_f=max_abs_f,
+            final_params=params,
+            diverged_at=diverged_at,
+        )
+
     # buffers reused by every step: full data, SGD minibatch, test set
     ws_full, ws_batch, ws_test = {}, {}, {}
     for t in range(n_steps + 1):
@@ -371,25 +336,24 @@ def train(
         else:
             eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
         if config.algorithm == "SGD":
-            ln, f = _batch_loss(
-                params, dataset.inputs, dataset.targets, config.loss_power, ws_full
-            )
+            ln, f = _batch_loss(params, dataset, config.loss_power, ws_full)
             grads = None
         else:
             ln, grads, f = _loss_grad_outputs(
                 params, dataset.inputs, dataset.targets, config.loss_power, ws_full
             )
-        log.see_outputs(f)
-        ln_test = None
+        max_abs_f = max(max_abs_f, float(np.max(np.abs(f))))
         if test_dataset is not None:
-            ln_test, f_te = _batch_loss(
-                params, test_dataset.inputs, test_dataset.targets, config.loss_power, ws_test
-            )
-            log.see_outputs(f_te)
-        log.log_state(t, eta_t, ln, ln_test, params)
+            ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
+            max_abs_f = max(max_abs_f, float(np.max(np.abs(f_te))))
+        psi_t = _integrand(ln, dataset.c_y, config.loss_power)
+        eta[t], ln_train[t], psi_col[t], cl[t] = eta_t, ln, psi_t, cl_running
+        normsq[t] = params.sq_norms()
+        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.all(np.isfinite(normsq[t])):
+            raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
         if t == n_steps:
             break
-        log.advance_cl()
+        cl_running += 2.0 * eta_t * psi_t
         params, grads = _update(params, grads, eta_t, config, dataset, rng, ws_batch)
-        log.log_grads(grads)
-    return log.build(params)
+        gradsq[t] = [float(np.sum(g * g)) for g in grads]
+    return trajectory(n_steps + 1)

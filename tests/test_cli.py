@@ -245,6 +245,53 @@ def test_diverged_run_flags_train_and_bound(tmp_path, capsys, train_section):
     assert json.loads(report_path.read_text())["cl"] == json.loads((out / "report.json").read_text())["cl"]
 
 
+def _fc_network(widths):
+    return {"input_dim": 3, "fc_widths": widths, "output_width": widths[-1], "norm_exponent": 0.5}
+
+
+@pytest.mark.parametrize(
+    "trained, read, header_only",
+    [([8], [8, 8], False), ([8, 8], [8], False), ([8], [8], True)],
+    ids=["deeper_config", "shallower_config", "header_only"],
+)
+def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, read, header_only):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config(network=_fc_network(trained)), "train.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    if header_only:
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    cfg = _write(tmp_path, _base_config(network=_fc_network(read)), "read.json")
+    code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv) in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("train", {"seeds": 5}),
+        ("train", {"seeds": []}),
+        ("compare", {"seeds": 5}),
+        ("sweep", {"seeds": []}),
+        ("sweep", {"seeds": [0, "1"]}),
+        ("train", {"network": {"fc_widths": 16}}),
+    ],
+)
+def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, override):
+    doc = _base_config(
+        sweep={"axis": "lr", "values": [0.05]},
+        compare={"betas": [10], "loss_bound": 0.25, "lip": 1.0},
+        **override,
+    )
+    code = cli.main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     out_file = tmp_path / "verify.json"
     # value-bounds yields numpy-scalar violations; the JSON dump must take them

@@ -201,16 +201,29 @@ def test_deterministic_reruns():
     assert not np.array_equal(a.final_params.layers[0], c.final_params.layers[0])
 
 
+def _assert_partial_is_whole(traj, test_set: bool):
+    """A diverged run's columns end at the failing row and hold no unset entries."""
+    rows = traj.diverged_at + 1
+    for name in ("steps", "times", "eta", "ln_train", "ln_test", "psi", "cl", "normsq"):
+        assert getattr(traj, name).shape[0] == rows, name
+    assert traj.normsq.shape == (rows, traj.spec.n_layers)
+    assert traj.gradsq.shape == (rows - 1, traj.spec.n_layers)
+    finite = ["steps", "times", "eta", "ln_train", "psi", "cl", "normsq", "gradsq"]
+    for name in finite + (["ln_test"] if test_set else []):
+        assert np.all(np.isfinite(getattr(traj, name)[: rows - 1])), name
+
+
 def test_divergence_guard():
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(16, 16), output_width=16, norm_exponent=0.0)
     ds = synth_regression(16, seed=0)
     cfg = TrainConfig(algorithm="GD", eta=1e5, total_steps=400, seed=0, kappa=4.0)
     with pytest.raises(DivergenceError) as info:
-        train(spec, ds, cfg)
+        train(spec, ds, cfg, test_dataset=synth_regression(8, 1, "test"))
     err = info.value
     assert err.trajectory.diverged_at == err.step
     assert err.trajectory.ln_train.shape[0] == err.step + 1
     assert err.trajectory.ln_train[-1] > 1e6 or not math.isfinite(err.trajectory.ln_train[-1])
+    _assert_partial_is_whole(err.trajectory, test_set=True)
 
 
 def test_overflowing_step_is_divergence():
@@ -224,6 +237,7 @@ def test_overflowing_step_is_divergence():
     assert info.value.step == traj.diverged_at == 1
     assert traj.ln_train.shape == (2,)
     assert np.all(np.isfinite(traj.normsq[0])) and not np.all(np.isfinite(traj.normsq[1]))
+    _assert_partial_is_whole(traj, test_set=False)
 
 
 def test_input_width_checked_once_up_front():
