@@ -7,8 +7,12 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
-# train on bench/wide_gd.json, and verify --seed 0.  Exits 1 on any
-# difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
+# train on bench/wide_gd.json, and verify --seed 0.  Three more configs are
+# written by this script, the same on both sides, to cover the paths the
+# shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
+# test set and an SVG chart (train and bound); a two-seed CNN SGLD run
+# (train); and a GD run that diverges at step 3 (train and bound, both exit
+# 1).  Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
 
@@ -26,11 +30,44 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base_tree"
 git -C "$repo" archive "$base_rev" | tar -x -C "$tmp/base_tree"
 
+write_extra_configs() {  # write_extra_configs DIR
+    mkdir -p "$1"
+    cat >"$1/gf_power4.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [16], "output_width": 16, "norm_exponent": 0.5},
+  "train": {"algorithm": "GF", "eta": 0.1, "duration": 0.5, "gf_substep": 0.01, "loss_power": 4},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "n_test": 32, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1],
+  "svg": true
+}
+EOF
+    cat >"$1/cnn_sgld.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "conv_kernels": [2], "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
+  "train": {"algorithm": "SGLD", "eta": 0.05, "beta": 1000.0, "total_steps": 100},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "n_test": 32, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1]
+}
+EOF
+    cat >"$1/gd_diverge.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [16, 16], "output_width": 16, "norm_exponent": 0.0},
+  "train": {"algorithm": "GD", "eta": 40.0, "total_steps": 50, "kappa": 4.0},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 16, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0]
+}
+EOF
+}
+
 run_side() {  # run_side TREE OUTDIR
     local tree=$1 out=$2
     mkdir -p "$out"
     cp -r "$tree/configs" "$out/configs"
     cp "$tree/bench/wide_gd.json" "$out/wide_gd.json"
+    write_extra_configs "$out/extra"
     (
         cd "$out"
         export PYTHONPATH="$tree/src"
@@ -57,6 +94,13 @@ run_side() {  # run_side TREE OUTDIR
         gb bound_toy bound --config configs/toy_regression.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
+        for stem in gf_power4 cnn_sgld gd_diverge; do
+            gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"
+        done
+        for stem in gf_power4 gd_diverge; do
+            gb "bound_$stem" bound --config "extra/$stem.json" \
+                --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
+        done
         gb verify verify --seed 0 --out verify.json
     )
 }

@@ -13,10 +13,6 @@ from .bounds import (
     SgldBoundInputs,
     assemble_bound,
     bound_series,
-    cl_continuous,
-    cl_discrete,
-    cl_power,
-    power_integrand,
     psi,
     rademacher_constant,
     sgld_bound,
@@ -76,9 +72,6 @@ __all__ = [
     "assemble_bound",
     "batch_outputs",
     "bound_series",
-    "cl_continuous",
-    "cl_discrete",
-    "cl_power",
     "estimate_c_f",
     "forward",
     "grad_f",
@@ -89,7 +82,6 @@ __all__ = [
     "loss_and_grad",
     "lr_schedule",
     "max_feasible_eta",
-    "power_integrand",
     "psi",
     "rademacher_constant",
     "run_suites",

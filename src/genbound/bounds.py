@@ -2,8 +2,10 @@
 
 The potential psi(L_n) = sqrt(2 L_n) (C_y - sqrt(2 L_n)) is capped by
 C_y^2/4 and may go negative once the loss exceeds C_y^2/2.  Its
-2*eta_t-weighted sum along a trajectory is the cumulative loss CL(T),
-which replaces the usual norm product in the Rademacher complexity bound:
+2*eta_t-weighted sum along a trajectory (the integral of 2 psi dt for
+gradient flow) is the cumulative loss CL(T), which the training loop
+accumulates into the trajectory's cl column.  CL replaces the usual norm
+product in the Rademacher complexity bound:
 
     complexity = C_{L,d} / (m^p sqrt(n))
                  * prod_l sqrt((1 + 3 lam^2) ||layer_l(0)||^2 + max(CL, 0))
@@ -28,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LAMBDA_MAX",
     "psi",
-    "power_integrand",
-    "cl_discrete",
-    "cl_continuous",
-    "cl_power",
     "rademacher_constant",
     "BoundReport",
     "assemble_bound",
@@ -45,79 +43,30 @@ __all__ = [
 LAMBDA_MAX = 1.0 / math.sqrt(3.0)
 
 
-def _check_c_y(c_y: float) -> None:
+def psi(ln, c_y: float, loss_power: int = 2):
+    """Potential whose 2*eta_t-weighted sum along a run is the cumulative loss.
+
+    For the square loss (loss_power 2) it is sqrt(2 ln) (c_y - sqrt(2 ln)),
+    with max c_y^2/4 at ln = c_y^2/8; for the power-a loss |f-y|^a/a it is
+    (a ln)^((a-1)/a) (c_y - (a ln)^(1/a)).  Accepts scalars or arrays;
+    losses must be nonnegative.  The value is negative once ln > c_y^2/2
+    (at a = 2), and callers accumulate it signed.
+    """
     if not (0.0 < c_y <= 1.0):
         raise ValueError("c_y must lie in (0, 1]")
-
-
-def psi(ln, c_y: float):
-    """sqrt(2 ln) (c_y - sqrt(2 ln)); max c_y^2/4 at ln = c_y^2/8.
-
-    Accepts scalars or arrays; losses must be nonnegative.  The value is
-    negative once ln > c_y^2/2, and callers accumulate it signed.
-    """
-    _check_c_y(c_y)
-    ln_arr = np.asarray(ln, dtype=float)
-    if np.any(ln_arr < 0):
-        raise ValueError("loss must be nonnegative")
-    root = np.sqrt(2.0 * ln_arr)
-    out = root * (c_y - root)
-    return float(out) if np.isscalar(ln) or ln_arr.ndim == 0 else out
-
-
-def power_integrand(ln, c_y: float, loss_power: int):
-    """(a ln)^((a-1)/a) (c_y - (a ln)^(1/a)) for the power-a loss |f-y|^a/a.
-
-    Reduces to psi at a = 2.
-    """
-    _check_c_y(c_y)
     a = int(loss_power)
     if a < 2 or a != loss_power:
         raise ValueError("loss_power must be an integer >= 2")
     ln_arr = np.asarray(ln, dtype=float)
     if np.any(ln_arr < 0):
         raise ValueError("loss must be nonnegative")
-    root = (a * ln_arr) ** (1.0 / a)
-    out = root ** (a - 1) * (c_y - root)
+    if a == 2:
+        root = np.sqrt(2.0 * ln_arr)
+        out = root * (c_y - root)
+    else:
+        root = (a * ln_arr) ** (1.0 / a)
+        out = root ** (a - 1) * (c_y - root)
     return float(out) if np.isscalar(ln) or ln_arr.ndim == 0 else out
-
-
-def cl_discrete(traj: "Trajectory") -> tuple[float, np.ndarray]:
-    """CL(T) = sum_{t<T} 2 eta_t psi(t) and its prefix series (length T+1).
-
-    Recomputed from the logged eta and psi columns, so it doubles as an
-    independent check of the trajectory's own cl column.
-    """
-    if traj.algorithm == "GF":
-        raise ValueError("discrete CL is undefined for gradient flow; use cl_continuous")
-    series = np.concatenate(([0.0], np.cumsum(2.0 * traj.eta[:-1] * traj.psi[:-1])))
-    return float(series[-1]), series
-
-
-def cl_continuous(traj: "Trajectory") -> tuple[float, np.ndarray]:
-    """Trapezoidal integral of 2 psi(t) dt along a gradient-flow trajectory."""
-    if traj.algorithm != "GF":
-        raise ValueError("continuous CL applies to gradient-flow trajectories")
-    if traj.times.shape[0] < 2:
-        raise ValueError("need at least two substeps to integrate")
-    g = 2.0 * traj.psi
-    chunks = 0.5 * (g[1:] + g[:-1]) * np.diff(traj.times)
-    series = np.concatenate(([0.0], np.cumsum(chunks)))
-    return float(series[-1]), series
-
-
-def cl_power(traj: "Trajectory", loss_power: int, c_y: float | None = None):
-    """Cumulative loss for the power-a loss, recomputed from the loss column."""
-    if traj.algorithm == "GF":
-        raise ValueError("power CL is defined for discrete-time trajectories")
-    if loss_power != traj.loss_power:
-        raise ValueError(
-            f"trajectory was logged with loss_power={traj.loss_power}, not {loss_power}"
-        )
-    c = traj.c_y if c_y is None else c_y
-    vals = power_integrand(traj.ln_train, c, loss_power)
-    series = np.concatenate(([0.0], np.cumsum(2.0 * traj.eta[:-1] * vals[:-1])))
-    return float(series[-1]), series
 
 
 def rademacher_constant(n_hidden: int, input_dim: int, kind: str) -> float:
@@ -170,27 +119,21 @@ class BoundReport:
         return asdict(self)
 
 
-def _theorem(traj: "Trajectory", rho: float | None, theorem: str | None = None):
+def _theorem(traj: "Trajectory", rho: float | None):
     """The theorem a trajectory is bounded under, its rho and (1 + rho) factor.
 
-    The tag defaults to the trajectory's algorithm, with SGLD runs under the
+    The tag is the trajectory's algorithm, with SGLD runs under the
     full-batch (GD) theorem.  Only the minibatch (SGD) theorem uses rho,
     which must then be positive; the others drop it and use factor 1.
     """
-    if theorem is None:
-        theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
+    theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
     if theorem not in ("GF", "GD", "SGD"):
-        raise ValueError("theorem must be 'GF', 'GD' or 'SGD'")
+        raise ValueError(f"no bound for algorithm {traj.algorithm!r}")
     if theorem != "SGD":
         return theorem, None, 1.0
     if rho is None or rho <= 0:
         raise ValueError("the minibatch bound needs rho > 0")
     return theorem, rho, 1.0 + rho
-
-
-def _cl_series(traj: "Trajectory") -> np.ndarray:
-    """CL prefix series: trapezoidal for gradient flow, discrete otherwise."""
-    return (cl_continuous(traj) if traj.algorithm == "GF" else cl_discrete(traj))[1]
 
 
 def _complexity(spec: "NetworkSpec", v: np.ndarray, cl, n: int, factor: float):
@@ -205,33 +148,27 @@ def assemble_bound(
     traj: "Trajectory",
     lam: float,
     delta: float = 0.05,
-    n: int | None = None,
     rho: float | None = None,
-    cl_value: float | None = None,
     cl_seed_mean: float | None = None,
-    theorem: str | None = None,
 ) -> BoundReport:
-    """Build the bound report for a logged trajectory.
+    """Build the bound report for a logged trajectory at its final CL.
 
-    The theorem tag defaults to the trajectory's algorithm (GF, GD, SGD);
-    SGLD runs are assembled under the full-batch tag.  rho > 0 is required
-    for SGD and scales both the init-norm and CL summands by (1 + rho); it
-    is ignored (and reported as None) under the other theorems.
-    Negative CL is clamped to zero inside the product (flagged in the
-    report); the raw value is kept alongside.
+    The theorem follows the trajectory's algorithm (GF, GD, SGD); SGLD runs
+    are assembled under the full-batch tag.  rho > 0 is required for SGD
+    and scales both the init-norm and CL summands by (1 + rho); it is
+    ignored (and reported as None) under the other theorems.  CL is the
+    last entry of the trajectory's cl column; a negative value is clamped
+    to zero inside the product (flagged in the report) and kept raw
+    alongside.
     """
     spec = traj.spec
     if not (0.0 < lam < LAMBDA_MAX):
         raise ValueError("lam must lie in (0, 1/sqrt(3))")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    theorem, rho, factor = _theorem(traj, rho, theorem)
-    if n is None:
-        n = traj.n_train
-    if n < 1:
-        raise ValueError("n must be positive")
-    if cl_value is None:
-        cl_value = float(_cl_series(traj)[-1])
+    theorem, rho, factor = _theorem(traj, rho)
+    n = traj.n_train
+    cl_value = float(traj.cl[-1])
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
     complexity = float(_complexity(spec, v, cl_value, n, factor))
     confidence = math.sqrt(math.log(1.0 / delta) / n)
@@ -253,7 +190,7 @@ def assemble_bound(
         rho=rho,
         init_sq_norms=[float(x) for x in traj.init_sq_norms],
         v=[float(x) for x in v],
-        cl=float(cl_value),
+        cl=cl_value,
         cl_clamped=cl_value < 0.0,
         cl_seed_mean=cl_seed_mean,
         complexity=complexity,
@@ -267,16 +204,13 @@ def bound_series(
     traj: "Trajectory",
     lam: float,
     delta: float = 0.05,
-    n: int | None = None,
     rho: float | None = None,
 ) -> np.ndarray:
     """Bound value at every logged step, using the CL prefix up to it."""
     _, _, factor = _theorem(traj, rho)
-    if n is None:
-        n = traj.n_train
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
-    confidence = math.sqrt(math.log(1.0 / delta) / n)
-    return _complexity(traj.spec, v, _cl_series(traj), n, factor) + confidence
+    confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
+    return _complexity(traj.spec, v, traj.cl, traj.n_train, factor) + confidence
 
 
 @dataclass

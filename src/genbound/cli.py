@@ -8,6 +8,7 @@ same config and seeds, reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -110,6 +111,15 @@ def build_spec(doc: dict) -> NetworkSpec:
         raise ConfigError(f"invalid network: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _value_types(section: str):
+    """Decorator: a value of the wrong type in a config section is a config error."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ConfigError(f"invalid value in section '{section}': {exc}") from exc
+
+
 def _seeds(doc: dict) -> list[int]:
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
@@ -125,6 +135,7 @@ def _parse_beta(value):
     return math.inf if value == "inf" else _optional_float(value)
 
 
+@_value_types("train")
 def build_train_config(doc: dict, seed: int, eta_override: float | None = None) -> TrainConfig:
     tr = doc.get("train", {})
     bd = doc.get("bound", {})
@@ -154,6 +165,7 @@ def build_train_config(doc: dict, seed: int, eta_override: float | None = None) 
     return cfg
 
 
+@_value_types("data")
 def build_datasets(doc: dict):
     """Returns (train dataset, test dataset or None) from the data section."""
     dd = doc.get("data", {})
@@ -219,10 +231,14 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+# the named columns of a trajectory CSV, before normsq_1..normsq_k and bound_prefix
+_CSV_COLUMNS = ["t", "eta_t", "Ln_train", "Ln_test", "psi", "CL"]
+
+
 def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> None:
     n_layers = traj.normsq.shape[1]
     cols = (
-        ["t", "eta_t", "Ln_train", "Ln_test", "psi", "CL"]
+        _CSV_COLUMNS
         + [f"normsq_{l + 1}" for l in range(n_layers)]
         + ["bound_prefix"]
     )
@@ -261,6 +277,9 @@ def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
                 diverged_at = int(line.rsplit(" ", 1)[1])
             elif line.strip() and not line.startswith("#"):
                 rows.append([float(v) for v in line.split(",")])
+    missing = [name for name in _CSV_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {', '.join(missing)}")
     n_normsq = sum(name.startswith("normsq_") for name in header)
     if n_normsq != spec.n_layers or not rows:
         raise ValueError(
@@ -318,10 +337,13 @@ def cmd_train(args) -> int:
     ds, ds_test = build_datasets(doc)
     results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
     primary = results[0]
-    assembled = [_assemble(doc, res.trajectory) for res in results]
+    cl_seed_mean = None
     if len(results) > 1:
-        cl_seed_mean = float(np.mean([report.cl for report, _ in assembled]))
-        assembled[0] = _assemble(doc, primary.trajectory, cl_seed_mean)
+        cl_seed_mean = float(np.mean([res.trajectory.cl[-1] for res in results]))
+    assembled = [
+        _assemble(doc, res.trajectory, cl_seed_mean if i == 0 else None)
+        for i, res in enumerate(results)
+    ]
     report, series = assembled[0]
     for i, (res, (_, res_series)) in enumerate(zip(results, assembled)):
         name = "trajectory.csv" if i == 0 else f"trajectory_seed{res.seed}.csv"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LAMBDA_MAX, power_integrand, psi
+from .bounds import LAMBDA_MAX, psi
 from .network import (
     NetworkSpec,
     Parameters,
@@ -111,9 +111,11 @@ class Trajectory:
     """Logged run: one row per step t = 0..T plus per-transition data.
 
     cl[t] is the prefix sum of 2*eta_s*psi_s for s < t, so cl[0] = 0 and
-    cl[-1] is the realized cumulative loss CL(T).  gradsq has one row per
-    transition (the per-layer squared gradient norms used by the update).
-    For GF, `steps` counts Euler substeps, times = steps*h and eta[t] = h.
+    cl[-1] is the realized cumulative loss CL(T) that the bound reads.
+    gradsq has one row per transition (the per-layer squared gradient norms
+    used by the update).  For GF, `steps` counts Euler substeps, times =
+    steps*h, eta[t] = h, and cl[t] is instead the trapezoid integral of
+    2*psi dt over times[:t+1].
     A trajectory read back from a CSV has no seed, gradsq, max_abs_f or
     final_params; those fields are None.
     """
@@ -164,13 +166,6 @@ def lr_schedule(t: int, eta: float, alpha: float, t0: int) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return eta / float(t // t0 + 1) ** alpha
-
-
-def _integrand(ln: float, c_y: float, loss_power: int) -> float:
-    """Potential whose 2*eta_t-weighted sum is the cumulative loss."""
-    if loss_power == 2:
-        return psi(ln, c_y)
-    return power_integrand(ln, c_y, loss_power)
 
 
 def _update(
@@ -300,6 +295,7 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), stream]))
     # row t of each column is written in place; gradsq has a row per transition
     steps = np.arange(n_steps + 1)
+    times = steps * h
     eta, ln_train, psi_col, cl = (np.empty(n_steps + 1) for _ in range(4))
     ln_test = np.full(n_steps + 1, math.nan)
     normsq = np.empty((n_steps + 1, spec.n_layers))
@@ -311,7 +307,7 @@ def train(
             algorithm=config.algorithm,
             spec=spec,
             steps=steps[:rows],
-            times=steps[:rows] * h,
+            times=times[:rows],
             eta=eta[:rows],
             ln_train=ln_train[:rows],
             ln_test=ln_test[:rows],
@@ -346,14 +342,18 @@ def train(
         if test_dataset is not None:
             ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
             max_abs_f = max(max_abs_f, float(np.max(np.abs(f_te))))
-        psi_t = _integrand(ln, dataset.c_y, config.loss_power)
+        psi_t = psi(ln, dataset.c_y, config.loss_power)
+        if t > 0:
+            if config.algorithm == "GF":
+                cl_running += (psi_col[t - 1] + psi_t) * (times[t] - times[t - 1])
+            else:
+                cl_running += 2.0 * eta[t - 1] * psi_col[t - 1]
         eta[t], ln_train[t], psi_col[t], cl[t] = eta_t, ln, psi_t, cl_running
         normsq[t] = params.sq_norms()
         if not math.isfinite(ln) or ln > _LOSS_CAP or not np.all(np.isfinite(normsq[t])):
             raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
         if t == n_steps:
             break
-        cl_running += 2.0 * eta_t * psi_t
         params, grads = _update(params, grads, eta_t, config, dataset, rng, ws_batch)
         gradsq[t] = [float(np.sum(g * g)) for g in grads]
     return trajectory(n_steps + 1)

@@ -94,6 +94,15 @@ def cl_resum(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def cl_trapezoid(times, psi) -> np.ndarray:
+    """Trapezoid integrals of 2*psi dt from times[0] to each times[t]."""
+    out = [0.0]
+    for k in range(len(times) - 1):
+        width = float(times[k + 1]) - float(times[k])
+        out.append(out[-1] + width * (float(psi[k]) + float(psi[k + 1])))
+    return np.array(out)
+
+
 def gf_closed_form_loss(t, ln0, c):
     """Loss along gradient flow of the width-1 net a*relu(w) on (x=1, y=0).
 

@@ -14,7 +14,6 @@ import pytest
 from genbound.bounds import (
     assemble_bound,
     bound_series,
-    cl_discrete,
     psi,
     sgld_bound,
     SgldBoundInputs,
@@ -193,7 +192,7 @@ def test_criterion_09_label_noise_orders_cumulative_loss():
         for seed in (0, 1, 2):
             cfg = TrainConfig(algorithm="SGD", eta=1.0, alpha=0.8, t0=2000, batch=64,
                               total_steps=2000, seed=seed)
-            cls.append(cl_discrete(train(spec, ds, cfg))[0])
+            cls.append(float(train(spec, ds, cfg).cl[-1]))
         means.append(float(np.mean(cls)))
     ok = means[0] < means[1] < means[2]
     _line(9, "cumulative loss increases with label noise", ok,

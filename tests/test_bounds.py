@@ -1,5 +1,6 @@
-"""Potential function, cumulative loss, and bound assembly."""
+"""Potential function, the trajectory's cumulative loss, and bound assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,6 @@ from genbound.bounds import (
     SgldBoundInputs,
     assemble_bound,
     bound_series,
-    cl_continuous,
-    cl_discrete,
-    cl_power,
-    power_integrand,
     psi,
     rademacher_constant,
     sgld_bound,
@@ -22,7 +19,7 @@ from genbound.data import synth_regression
 from genbound.network import NetworkSpec, Parameters
 from genbound.training import TrainConfig, Trajectory, train
 
-from oracles import cl_resum, power_integrand_reference, psi_reference
+from oracles import cl_resum, cl_trapezoid, power_integrand_reference, psi_reference
 
 
 def _hand_trajectory(algorithm, eta, ln, c_y=1.0, times=None):
@@ -80,70 +77,73 @@ def test_psi_validation():
 
 def test_power_integrand_reduces_to_psi():
     grid = np.linspace(0.0, 0.6, 400)
-    np.testing.assert_allclose(power_integrand(grid, 0.5, 2), psi(grid, 0.5), atol=1e-14)
+    np.testing.assert_allclose(
+        psi(grid, 0.5, 2), [power_integrand_reference(x, 0.5, 2) for x in grid], atol=1e-14
+    )
+    # power 2 keeps the square-root formula, so the bytes of a scalar do not change
+    for ln in (0.0, 0.01, 0.125, 0.3):
+        assert psi(ln, 0.7, 2) == psi(ln, 0.7) == psi_reference(ln, 0.7)
 
 
 def test_power_integrand_quartic():
     for ln in (0.005, 0.02, 0.1):
         np.testing.assert_allclose(
-            power_integrand(ln, 0.5, 4), power_integrand_reference(ln, 0.5, 4), atol=1e-15
+            psi(ln, 0.5, loss_power=4), power_integrand_reference(ln, 0.5, 4), atol=1e-15
         )
-    with pytest.raises(ValueError):
-        power_integrand(0.1, 0.5, 1)
+    for bad in (1, 2.5):
+        with pytest.raises(ValueError):
+            psi(0.1, 0.5, loss_power=bad)
 
 
 def test_cl_discrete_hand_example():
     # one transition at eta=0.1 with psi=1/4 (ln = c_y^2/8, c_y=1): CL = 0.05
     traj = _hand_trajectory("GD", [0.1, 0.05], [0.125, 0.125])
-    total, series = cl_discrete(traj)
-    assert total == pytest.approx(0.05, abs=1e-15)
-    np.testing.assert_allclose(series, [0.0, 0.05], atol=1e-15)
-    np.testing.assert_allclose(series, traj.cl, atol=1e-15)
+    np.testing.assert_allclose(traj.cl, [0.0, 0.05], atol=1e-15)
+    # the bound reads the trajectory's cl column
+    assert assemble_bound(traj, lam=0.5).cl == float(traj.cl[-1])
+
+
+_SMALL_SPEC = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
 
 
 def test_cl_discrete_matches_logged_column():
-    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
     ds = synth_regression(64, seed=0)
-    traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=50, seed=1))
-    total, series = cl_discrete(traj)
-    np.testing.assert_allclose(series, traj.cl, atol=1e-14)
-    np.testing.assert_allclose(series, cl_resum(traj.eta, traj.psi), atol=1e-14)
-    assert total == pytest.approx(float(traj.cl[-1]))
+    for config in (
+        TrainConfig(algorithm="GD", eta=0.1, total_steps=50, seed=1),
+        TrainConfig(algorithm="SGD", eta=0.1, batch=8, total_steps=50, seed=1),
+        TrainConfig(algorithm="SGLD", eta=0.1, beta=100.0, total_steps=50, seed=1),
+        TrainConfig(algorithm="GD", eta=0.1, total_steps=30, seed=0, loss_power=4),
+    ):
+        traj = train(_SMALL_SPEC, ds, config)
+        assert traj.cl[0] == 0.0
+        np.testing.assert_allclose(traj.cl, cl_resum(traj.eta, traj.psi), rtol=1e-13, atol=1e-15)
+        assert assemble_bound(traj, lam=0.5, rho=1.0).cl == float(traj.cl[-1])
 
 
 def test_cl_discrete_rejects_gf():
-    traj = _hand_trajectory("GF", [0.01, 0.01], [0.125, 0.125], times=[0.0, 0.01])
-    with pytest.raises(ValueError):
-        cl_discrete(traj)
-    total, series = cl_continuous(traj)
+    # gradient flow integrates 2 psi dt by the trapezoid, not the left sum
+    ds = synth_regression(32, seed=3)
+    config = TrainConfig(algorithm="GF", eta=0.1, duration=0.2, gf_substep=0.01, seed=0)
+    traj = train(_SMALL_SPEC, ds, config)
+    assert not np.allclose(traj.cl[1:], cl_resum(traj.eta, traj.psi)[1:], rtol=1e-12, atol=0.0)
     # trapezoid of the constant 2*psi=0.5 over dt=0.01
-    assert total == pytest.approx(0.005, abs=1e-15)
-    with pytest.raises(ValueError):
-        cl_continuous(_hand_trajectory("GD", [0.1, 0.1], [0.125, 0.125]))
+    np.testing.assert_allclose(cl_trapezoid([0.0, 0.01], [0.25, 0.25]), [0.0, 0.005], atol=1e-15)
 
 
 def test_cl_continuous_trapezoid():
-    # three substeps at times 0, 0.5, 1.0 (c_y=1), decreasing loss
-    ln = np.array([0.125, 0.0512, 0.0162])
-    traj = _hand_trajectory("GF", [0.5, 0.5, 0.5], ln, times=[0.0, 0.5, 1.0])
-    total, series = cl_continuous(traj)
-    p = psi(ln, 1.0)
+    # the oracle on three substeps at times 0, 0.5, 1.0 (c_y=1), decreasing loss
+    p = psi(np.array([0.125, 0.0512, 0.0162]), 1.0)
     want1 = 0.5 * (2 * p[0] + 2 * p[1]) / 2
     want2 = want1 + 0.5 * (2 * p[1] + 2 * p[2]) / 2
-    np.testing.assert_allclose(series, [0.0, want1, want2], atol=1e-15)
-    assert total == pytest.approx(want2)
-
-
-def test_cl_power_matches_quadratic():
-    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
-    ds = synth_regression(32, seed=2)
-    traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=30, seed=0))
-    total2, series2 = cl_power(traj, 2)
-    total, series = cl_discrete(traj)
-    np.testing.assert_allclose(series2, series, atol=1e-12)
-    assert total2 == pytest.approx(total, abs=1e-12)
-    with pytest.raises(ValueError):
-        cl_power(traj, 4)
+    np.testing.assert_allclose(cl_trapezoid([0.0, 0.5, 1.0], p), [0.0, want1, want2], atol=1e-15)
+    ds = synth_regression(32, seed=3)
+    for loss_power in (2, 4):
+        config = TrainConfig(
+            algorithm="GF", eta=0.1, duration=0.2, gf_substep=0.01, seed=0, loss_power=loss_power
+        )
+        traj = train(_SMALL_SPEC, ds, config)
+        np.testing.assert_allclose(traj.cl, cl_trapezoid(traj.times, traj.psi), rtol=1e-13, atol=1e-15)
+        assert assemble_bound(traj, lam=0.5).cl == float(traj.cl[-1])
 
 
 def test_rademacher_constants():
@@ -165,8 +165,8 @@ def test_rademacher_constants():
 
 def test_assemble_bound_sample_size_scaling():
     traj = _hand_trajectory("GD", [0.1] * 11, [0.125] * 11)
-    r1 = assemble_bound(traj, lam=0.5, n=100)
-    r4 = assemble_bound(traj, lam=0.5, n=400)
+    r1 = assemble_bound(dataclasses.replace(traj, n_train=100), lam=0.5)
+    r4 = assemble_bound(dataclasses.replace(traj, n_train=400), lam=0.5)
     assert r1.complexity == pytest.approx(2.0 * r4.complexity, rel=1e-12)
     assert r1.confidence == pytest.approx(2.0 * r4.confidence, rel=1e-12)
     assert r1.bound > r4.bound
@@ -194,7 +194,7 @@ def test_assemble_bound_negative_cl_clamped():
     rep = assemble_bound(traj, lam=0.5)
     assert rep.cl < 0.0
     assert rep.cl_clamped
-    zero = assemble_bound(traj, lam=0.5, cl_value=0.0)
+    zero = assemble_bound(dataclasses.replace(traj, cl=np.zeros(4)), lam=0.5)
     assert rep.complexity == pytest.approx(zero.complexity, rel=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_assemble_bound_sgd_rho():
     assert rep.theorem == "SGD" and rep.rho == 1.0
     # rho -> 0 recovers the full-batch assembly
     tiny = assemble_bound(traj, lam=0.5, rho=1e-12)
-    full = assemble_bound(traj, lam=0.5, theorem="GD")
+    full = assemble_bound(dataclasses.replace(traj, algorithm="GD"), lam=0.5)
     assert tiny.complexity == pytest.approx(full.complexity, rel=1e-9)
     # the (1+rho) factor multiplies every layer's summand
     assert rep.complexity == pytest.approx(2.0 * full.complexity, rel=1e-12)
@@ -236,18 +236,17 @@ def test_assemble_bound_validation():
     with pytest.raises(ValueError):
         assemble_bound(traj, lam=0.5, delta=1.5)
     with pytest.raises(ValueError):
-        assemble_bound(traj, lam=0.5, theorem="ADAM")
+        assemble_bound(dataclasses.replace(traj, algorithm="ADAM"), lam=0.5)
 
 
 def test_bound_series_prefix_consistency():
-    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
     ds = synth_regression(64, seed=1)
-    traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0))
+    traj = train(_SMALL_SPEC, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0))
     series = bound_series(traj, lam=0.5, delta=0.05)
     assert series.shape == traj.steps.shape
     rep = assemble_bound(traj, lam=0.5, delta=0.05)
     assert series[-1] == pytest.approx(rep.bound, rel=1e-12)
-    first = assemble_bound(traj, lam=0.5, delta=0.05, cl_value=0.0)
+    first = assemble_bound(dataclasses.replace(traj, cl=np.zeros_like(traj.cl)), lam=0.5, delta=0.05)
     assert series[0] == pytest.approx(first.bound, rel=1e-12)
     # positive psi makes the prefix bound nondecreasing
     if np.all(traj.psi >= 0):

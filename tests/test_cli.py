@@ -208,6 +208,8 @@ def test_bound_recompute_matches_train(tmp_path, train_section):
     assert recomputed["bound"] == original["bound"]
     assert recomputed["cl"] == original["cl"]
     assert recomputed["init_sq_norms"] == original["init_sq_norms"]
+    # the report's CL is the last row of the CSV's CL column, also for gradient flow
+    assert _csv_column(out / "trajectory.csv", "CL")[-1] == original["cl"]
     traj = cli.read_trajectory_csv(str(out / "trajectory.csv"), cli.build_spec(doc), doc)
     _, series = cli._assemble(doc, traj)
     assert series.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
@@ -219,6 +221,8 @@ def test_bound_recompute_matches_train(tmp_path, train_section):
         {"algorithm": "GD", "eta": 1e5, "total_steps": 400, "kappa": 4.0},
         # 2*eta overflows, so the noise and the parameters turn infinite
         {"algorithm": "SGLD", "eta": 1e308, "beta": 10.0, "total_steps": 50, "kappa": 4.0},
+        # the initial loss is already past the cap: a one-row trajectory
+        {"algorithm": "GF", "eta": 0.1, "duration": 0.05, "gf_substep": 0.005, "kappa": 1e4},
     ],
     ids=lambda section: section["algorithm"],
 )
@@ -250,23 +254,28 @@ def _fc_network(widths):
 
 
 @pytest.mark.parametrize(
-    "trained, read, header_only",
-    [([8], [8, 8], False), ([8, 8], [8], False), ([8], [8], True)],
-    ids=["deeper_config", "shallower_config", "header_only"],
+    "trained, read, edit",
+    [([8], [8, 8], None), ([8, 8], [8], None), ([8], [8], "header_only"), ([8], [8], "renamed_column")],
+    ids=["deeper_config", "shallower_config", "header_only", "renamed_column"],
 )
-def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, read, header_only):
+def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, read, edit):
     out = tmp_path / "run"
     cfg = _write(tmp_path, _base_config(network=_fc_network(trained)), "train.json")
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
     csv = out / "trajectory.csv"
-    if header_only:
-        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+    lines = csv.read_text().splitlines(keepends=True)
+    if edit == "header_only":
+        csv.write_text(lines[0])
+    elif edit == "renamed_column":
+        csv.write_text("".join([lines[0].replace(",CL,", ",CLX,")] + lines[1:]))
     capsys.readouterr()
     cfg = _write(tmp_path, _base_config(network=_fc_network(read)), "read.json")
     code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(tmp_path / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv) in err
+    if edit == "renamed_column":
+        assert err.rstrip().endswith("missing columns CL")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -279,6 +288,8 @@ def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, r
         ("sweep", {"seeds": []}),
         ("sweep", {"seeds": [0, "1"]}),
         ("train", {"network": {"fc_widths": 16}}),
+        ("train", {"train": {"alpha": [1]}}),
+        ("train", {"data": {"n_train": [16]}}),
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, override):
