@@ -7,12 +7,14 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
-# train on bench/wide_gd.json, and verify --seed 0.  Three more configs are
+# train on bench/wide_gd.json, and verify --seed 0.  Four more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed CNN SGLD run
-# (train); and a GD run that diverges at step 3 (train and bound, both exit
-# 1).  Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
+# (train); a GD run that diverges at step 3 (train and bound, both exit 1);
+# and a two-seed width sweep over JSON integers (sweep), whose directory
+# names and sweep.csv value column spell each value as the JSON does.
+# Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
 
@@ -60,6 +62,16 @@ EOF
   "seeds": [0]
 }
 EOF
+    cat >"$1/width_sweep.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [4, 4], "output_width": 4, "norm_exponent": 0.5},
+  "train": {"algorithm": "GD", "eta": 0.05, "total_steps": 50},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "n_test": 32, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "sweep": {"axis": "width", "values": [4, 8]},
+  "seeds": [0, 1]
+}
+EOF
 }
 
 run_side() {  # run_side TREE OUTDIR
@@ -101,6 +113,7 @@ run_side() {  # run_side TREE OUTDIR
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done
+        gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
         gb verify verify --seed 0 --out verify.json
     )
 }

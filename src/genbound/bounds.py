@@ -119,16 +119,16 @@ class BoundReport:
         return asdict(self)
 
 
-def _theorem(traj: "Trajectory", rho: float | None):
-    """The theorem a trajectory is bounded under, its rho and (1 + rho) factor.
+def _theorem(algorithm: str, rho: float | None):
+    """The theorem a run of `algorithm` is bounded under, its rho and (1 + rho) factor.
 
-    The tag is the trajectory's algorithm, with SGLD runs under the
-    full-batch (GD) theorem.  Only the minibatch (SGD) theorem uses rho,
-    which must then be positive; the others drop it and use factor 1.
+    The tag is the algorithm, with SGLD runs under the full-batch (GD)
+    theorem.  Only the minibatch (SGD) theorem uses rho, which must then be
+    positive; the others drop it and use factor 1.
     """
-    theorem = "GD" if traj.algorithm == "SGLD" else traj.algorithm
+    theorem = "GD" if algorithm == "SGLD" else algorithm
     if theorem not in ("GF", "GD", "SGD"):
-        raise ValueError(f"no bound for algorithm {traj.algorithm!r}")
+        raise ValueError(f"no bound for algorithm {algorithm!r}")
     if theorem != "SGD":
         return theorem, None, 1.0
     if rho is None or rho <= 0:
@@ -166,7 +166,7 @@ def assemble_bound(
         raise ValueError("lam must lie in (0, 1/sqrt(3))")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    theorem, rho, factor = _theorem(traj, rho)
+    theorem, rho, factor = _theorem(traj.algorithm, rho)
     n = traj.n_train
     cl_value = float(traj.cl[-1])
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
@@ -207,7 +207,7 @@ def bound_series(
     rho: float | None = None,
 ) -> np.ndarray:
     """Bound value at every logged step, using the CL prefix up to it."""
-    _, _, factor = _theorem(traj, rho)
+    _, _, factor = _theorem(traj.algorithm, rho)
     v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
     confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
     return _complexity(traj.spec, v, traj.cl, traj.n_train, factor) + confidence
@@ -218,20 +218,18 @@ class SgldBoundInputs:
     """Inputs of the information-theoretic SGLD bound.
 
     loss_bound M caps the per-sample loss, lip is its Lipschitz constant in
-    the parameters; exactly one of eta_sum (discrete time) or duration
-    (continuous time) applies.
+    the parameters, eta_sum is the sum of the step sizes.
     """
 
     loss_bound: float
     lip: float
     beta: float
     n: int
-    eta_sum: float | None = None
-    duration: float | None = None
+    eta_sum: float
 
 
 def sgld_bound(inputs: SgldBoundInputs) -> float:
-    """M Lip sqrt(beta/(8n) sum eta_t), or M Lip sqrt(beta T)/(sqrt(2) n).
+    """M Lip sqrt(beta/(8n) sum eta_t).
 
     beta = inf (the noiseless limit) returns inf: the information bound
     carries no content for deterministic dynamics.
@@ -242,21 +240,10 @@ def sgld_bound(inputs: SgldBoundInputs) -> float:
         raise ValueError("n must be positive")
     if inputs.beta != math.inf and inputs.beta <= 0:
         raise ValueError("beta must be positive or inf")
-    if (inputs.eta_sum is None) == (inputs.duration is None):
-        raise ValueError("provide exactly one of eta_sum or duration")
     if inputs.beta == math.inf:
         return math.inf
-    if inputs.eta_sum is not None:
-        if inputs.eta_sum < 0:
-            raise ValueError("eta_sum must be nonnegative")
-        return inputs.loss_bound * inputs.lip * math.sqrt(
-            inputs.beta / (8.0 * inputs.n) * inputs.eta_sum
-        )
-    if inputs.duration < 0:
-        raise ValueError("duration must be nonnegative")
-    return (
-        inputs.loss_bound
-        * inputs.lip
-        * math.sqrt(inputs.beta * inputs.duration)
-        / (math.sqrt(2.0) * inputs.n)
+    if inputs.eta_sum < 0:
+        raise ValueError("eta_sum must be nonnegative")
+    return inputs.loss_bound * inputs.lip * math.sqrt(
+        inputs.beta / (8.0 * inputs.n) * inputs.eta_sum
     )

@@ -1,20 +1,21 @@
 """Command-line entry points: train, verify, bound, compare, sweep, gen-data.
 
-All commands read a single JSON config (strictly validated: unknown keys
-are rejected with their path) and write deterministic artifacts: given the
-same config and seeds, reruns are byte-identical.
+All commands read a single JSON config through `load_config`, the one parse
+of it: each key has one type, one default and one rule for whether it is
+required, and unknown keys are rejected with their path.  Integer keys take
+JSON integers only, number keys integers or floats.  Before its first run a
+command range-checks every run it will make, so a config error exits 2 and
+writes no file.  Given the same config and seeds, reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import copy
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from . import bounds as bnd
 from . import checks, data, svgchart
 from .network import NetworkSpec, init_gaussian
 from .training import (
+    ALGORITHMS,
     DivergenceError,
     TrainConfig,
     Trajectory,
@@ -30,53 +32,134 @@ from .training import (
     train,
 )
 
-_SECTIONS = {
-    "network": {"input_dim", "conv_kernels", "fc_widths", "output_width", "norm_exponent"},
-    "train": {
-        "algorithm",
-        "eta",
-        "alpha",
-        "t0",
-        "batch",
-        "beta",
-        "total_steps",
-        "duration",
-        "gf_substep",
-        "loss_power",
-        "kappa",
-    },
-    "data": {
-        "source",
-        "kind",
-        "n_train",
-        "n_test",
-        "noise_fraction",
-        "c_y",
-        "seed",
-        "images",
-        "labels",
-        "keep",
-        "train_fraction",
-    },
-    "bound": {"lam", "delta", "rho", "epsilon"},
-    "sweep": {"axis", "values"},
-    "compare": {"betas", "loss_bound", "lip"},
-}
-_TOP_KEYS = {"network", "train", "data", "bound", "seeds", "output_dir", "svg", "sweep", "compare"}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: str, doc: dict, allowed: set) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in section '{section}'")
+@dataclass(frozen=True)
+class DataConfig:
+    """The data section; images, labels and keep are required for the idx source only."""
+
+    source: str
+    kind: str
+    n_train: int
+    n_test: int
+    noise_fraction: float
+    c_y: float
+    seed: int
+    images: str | None
+    labels: str | None
+    keep: tuple[int, ...] | None
+    train_fraction: float
 
 
-def load_config(path: str) -> dict:
-    """Parse and structurally validate a config file."""
+@dataclass(frozen=True)
+class Config:
+    """A parsed config.
+
+    train carries seed 0 until a run sets its own, and the lam and epsilon
+    of the bound section; with eta_auto, run_one replaces train.eta per seed
+    by the largest feasible rate.  sweep_values is None without a sweep
+    section and betas None without a compare section.
+    """
+
+    spec: NetworkSpec
+    train: TrainConfig
+    eta_auto: bool
+    data: DataConfig
+    delta: float
+    rho: float | None
+    seeds: tuple[int, ...]
+    output_dir: str
+    svg: bool
+    sweep_axis: str | None  # `--axis` may give it instead
+    sweep_values: tuple | None  # as the JSON spells them, which names the output directories
+    betas: tuple[float, ...] | None
+    loss_bound: float | None
+    lip: float | None
+
+
+# A JSON value type: (its name in error messages, the test a value passes, the conversion).
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # neither a bool nor a float such as 2.0
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _between(lo: float, hi: float):
+    return (f"a number in ({lo:g}, {hi:g})", lambda v: _is_number(v) and lo < v < hi, float)
+
+
+def _or_null(kind):
+    what, accepts, convert = kind
+    return (f"{what} or null", lambda v: v is None or accepts(v), lambda v: v if v is None else convert(v))
+
+
+def _list_of(accepts, nonempty=False):
+    return lambda v: type(v) is list and (bool(v) or not nonempty) and all(map(accepts, v))
+
+
+def _one_of(*names):
+    return ("one of " + ", ".join(json.dumps(n) for n in names), lambda v: v in names, str)
+
+
+def _beta(v) -> float:
+    return math.inf if v == "inf" else float(v)
+
+
+_INT = ("an integer", _is_int, int)
+_NUMBER = ("a number", _is_number, float)
+_POSITIVE = _between(0.0, math.inf)
+_FRACTION = _between(0.0, 1.0)
+_SHARE = ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
+_BOOL = ("true or false", lambda v: type(v) is bool, bool)
+_STR = ("a string", lambda v: type(v) is str, str)
+_OBJECT = ("an object", lambda v: type(v) is dict, dict)
+_INTS = ("a list of integers", _list_of(_is_int), tuple)
+_SEEDS = ("a nonempty list of integers", _list_of(_is_int, nonempty=True), tuple)
+_VALUES = ("a nonempty list of numbers", _list_of(_is_number, nonempty=True), tuple)
+_ETA = ('a number or "auto"', lambda v: v == "auto" or _is_number(v), lambda v: v if v == "auto" else float(v))
+_BETA = ('a number or "inf"', lambda v: v == "inf" or _is_number(v), _beta)
+_BETAS = (
+    'a list of positive numbers or "inf"',
+    _list_of(lambda v: v == "inf" or (_is_number(v) and v > 0)),
+    lambda v: tuple(map(_beta, v)),
+)
+_REQUIRED = object()
+
+
+class _Section:
+    """One config object, read key by key; a key that is never read is unknown."""
+
+    def __init__(self, name: str, values: dict):
+        self.name, self.values, self.read = name, values, set()
+
+    def __call__(self, key: str, kind, default=_REQUIRED):
+        """The value of `key` converted by its kind, or `default` when absent."""
+        self.read.add(key)
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ConfigError(f"section '{self.name}' is missing key '{key}'")
+            return default
+        what, accepts, convert = kind
+        raw = self.values[key]
+        if not accepts(raw):
+            raise ConfigError(f"section '{self.name}' key '{key}': expected {what}, got {json.dumps(raw)}")
+        return convert(raw)
+
+    def close(self) -> None:
+        for key in self.values:
+            if key not in self.read:
+                raise ConfigError(f"unknown key '{key}' in section '{self.name}'")
+
+
+def load_config(path: str) -> Config:
+    """Read a config file and parse all of it, once."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -84,122 +167,115 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _check_keys("<top>", doc, _TOP_KEYS)
-    for name, allowed in _SECTIONS.items():
-        if name in doc:
-            if not isinstance(doc[name], dict):
-                raise ConfigError(f"section '{name}' must be an object")
-            _check_keys(name, doc[name], allowed)
+    return _parse(doc)
+
+
+def _parse(doc: dict) -> Config:
+    top = _Section("<top>", doc)
+    names = ("network", "train", "data", "bound", "sweep", "compare")
+    net, tr, dd, bd, sw, cp = (_Section(name, top(name, _OBJECT, {})) for name in names)
+    seeds = top("seeds", _SEEDS, (0,))
+    output_dir = top("output_dir", _STR, "out")
+    svg = top("svg", _BOOL, False)
+    top.close()
     if "network" not in doc:
         raise ConfigError("missing required section 'network'")
-    return doc
 
-
-def build_spec(doc: dict) -> NetworkSpec:
-    net = doc["network"]
+    shape = {
+        "input_dim": net("input_dim", _INT),
+        "conv_kernels": net("conv_kernels", _INTS, ()),
+        "fc_widths": net("fc_widths", _INTS, ()),
+        "output_width": net("output_width", _INT),
+        "norm_exponent": net("norm_exponent", _NUMBER),
+    }
     try:
-        return NetworkSpec(
-            input_dim=int(net["input_dim"]),
-            conv_kernels=tuple(net.get("conv_kernels", ())),
-            fc_widths=tuple(net.get("fc_widths", ())),
-            output_width=int(net["output_width"]),
-            norm_exponent=float(net["norm_exponent"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"section 'network' is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid network: {exc}") from exc
+        spec = NetworkSpec(**shape)
+    except ValueError as exc:
+        raise ConfigError(f"section 'network': {exc}") from exc
 
-
-@contextlib.contextmanager
-def _value_types(section: str):
-    """Decorator: a value of the wrong type in a config section is a config error."""
-    try:
-        yield
-    except TypeError as exc:
-        raise ConfigError(f"invalid value in section '{section}': {exc}") from exc
-
-
-def _seeds(doc: dict) -> list[int]:
-    seeds = doc.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
-    return seeds
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
-
-
-def _parse_beta(value):
-    return math.inf if value == "inf" else _optional_float(value)
-
-
-@_value_types("train")
-def build_train_config(doc: dict, seed: int, eta_override: float | None = None) -> TrainConfig:
-    tr = doc.get("train", {})
-    bd = doc.get("bound", {})
-    eta_raw = tr.get("eta", 0.1)
-    if eta_override is not None:
-        eta = eta_override
-    elif eta_raw == "auto":
-        eta = 1.0  # placeholder, resolved against the feasibility threshold
-    else:
-        eta = float(eta_raw)
-    cfg = TrainConfig(
-        algorithm=tr.get("algorithm", "GD"),
-        eta=eta,
-        alpha=float(tr.get("alpha", 1.0)),
-        t0=int(tr.get("t0", 1)),
-        batch=int(tr.get("batch", 1)),
-        beta=_parse_beta(tr.get("beta")),
-        total_steps=int(tr.get("total_steps", 100)),
-        duration=_optional_float(tr.get("duration")),
-        gf_substep=_optional_float(tr.get("gf_substep")),
-        seed=seed,
-        loss_power=int(tr.get("loss_power", 2)),
-        lam=float(bd.get("lam", 0.5)),
-        epsilon=_optional_float(bd.get("epsilon")),
-        kappa=float(tr.get("kappa", 1.0)),
+    eta = tr("eta", _ETA, 0.1)
+    train_config = TrainConfig(
+        algorithm=tr("algorithm", _one_of(*ALGORITHMS), "GD"),
+        eta=TrainConfig.eta if eta == "auto" else eta,
+        alpha=tr("alpha", _NUMBER, 1.0),
+        t0=tr("t0", _INT, 1),
+        batch=tr("batch", _INT, 1),
+        beta=tr("beta", _or_null(_BETA), None),
+        total_steps=tr("total_steps", _INT, 100),
+        duration=tr("duration", _or_null(_NUMBER), None),
+        gf_substep=tr("gf_substep", _or_null(_NUMBER), None),
+        loss_power=tr("loss_power", _INT, 2),
+        lam=bd("lam", _between(0.0, bnd.LAMBDA_MAX), 0.5),
+        epsilon=bd("epsilon", _or_null(_FRACTION), None),
+        kappa=tr("kappa", _NUMBER, 1.0),
     )
-    return cfg
+
+    source = dd("source", _one_of("synthetic", "idx"), "synthetic")
+    idx_only = _REQUIRED if source == "idx" else None
+    data_config = DataConfig(
+        source=source,
+        kind=dd("kind", _one_of("regression", "classification"), "regression"),
+        n_train=dd("n_train", _INT, 256),
+        n_test=dd("n_test", _INT, 0),
+        noise_fraction=dd("noise_fraction", _SHARE, 0.0),
+        c_y=dd("c_y", _NUMBER, _REQUIRED if source == "idx" else 0.25),
+        seed=dd("seed", _INT, 0),
+        images=dd("images", _STR, idx_only),
+        labels=dd("labels", _STR, idx_only),
+        keep=dd("keep", _INTS, idx_only),
+        train_fraction=dd("train_fraction", _NUMBER, 0.8),
+    )
+
+    # the sweep and compare keys are required only where their section is given
+    in_sweep = _REQUIRED if "sweep" in doc else None
+    in_compare = _REQUIRED if "compare" in doc else None
+    config = Config(
+        spec=spec,
+        train=train_config,
+        eta_auto=eta == "auto",
+        data=data_config,
+        delta=bd("delta", _FRACTION, 0.05),
+        rho=bd("rho", _or_null(_NUMBER), 1.0),
+        seeds=seeds,
+        output_dir=output_dir,
+        svg=svg,
+        sweep_axis=sw("axis", _one_of("width", "lr", "noise"), None),
+        sweep_values=sw("values", _VALUES, in_sweep),
+        betas=cp("betas", _BETAS, in_compare),
+        loss_bound=cp("loss_bound", _POSITIVE, in_compare),
+        lip=cp("lip", _POSITIVE, in_compare),
+    )
+    for section in (net, tr, dd, bd, sw, cp):
+        section.close()
+    return config
 
 
-@_value_types("data")
-def build_datasets(doc: dict):
+def _check(config: Config, seeds) -> None:
+    """Range-check the run of `config` for each seed, before any starts."""
+    for seed in seeds:
+        replace(config.train, seed=seed).validate(config.spec.n_hidden)
+    bnd._theorem(config.train.algorithm, config.rho)  # the rho its theorem needs
+
+
+def build_datasets(config: Config):
     """Returns (train dataset, test dataset or None) from the data section."""
-    dd = doc.get("data", {})
-    source = dd.get("source", "synthetic")
-    if source == "synthetic":
-        kind = dd.get("kind", "regression")
-        n_train = int(dd.get("n_train", 256))
-        n_test = int(dd.get("n_test", 0))
-        seed = int(dd.get("seed", 0))
-        if kind == "regression":
-            ds = data.synth_regression(n_train, seed)
-            ds_test = data.synth_regression(n_test, seed + 1, "test") if n_test else None
-        elif kind == "classification":
-            c_y = float(dd.get("c_y", 0.25))
-            ds = data.synth_classification(n_train, seed, c_y)
-            ds_test = (
-                data.synth_classification(n_test, seed + 1, c_y, "test") if n_test else None
-            )
-        else:
-            raise ConfigError(f"unknown synthetic kind '{kind}'")
-        fraction = float(dd.get("noise_fraction", 0.0))
-        if fraction > 0.0:
-            if kind != "classification":
-                raise ConfigError("noise_fraction needs binary labels (kind=classification)")
-            ds = data.inject_label_noise(ds, fraction, seed + 2)
-        return ds, ds_test
-    if source == "idx":
-        for key in ("images", "labels", "keep", "c_y"):
-            if key not in dd:
-                raise ConfigError(f"idx data source needs key '{key}'")
-        ds_all = data.load_idx(dd["images"], dd["labels"], dd["keep"], float(dd["c_y"]))
-        fraction = float(dd.get("train_fraction", 0.8))
-        return data.split(ds_all, fraction, int(dd.get("seed", 0)))
-    raise ConfigError(f"unknown data source '{source}'")
+    dc = config.data
+    if dc.source == "idx":
+        ds_all = data.load_idx(dc.images, dc.labels, dc.keep, dc.c_y)
+        return data.split(ds_all, dc.train_fraction, dc.seed)
+    if dc.kind == "regression":
+        ds = data.synth_regression(dc.n_train, dc.seed)
+        ds_test = data.synth_regression(dc.n_test, dc.seed + 1, "test") if dc.n_test else None
+    else:
+        ds = data.synth_classification(dc.n_train, dc.seed, dc.c_y)
+        ds_test = (
+            data.synth_classification(dc.n_test, dc.seed + 1, dc.c_y, "test") if dc.n_test else None
+        )
+    if dc.noise_fraction > 0.0:
+        if dc.kind != "classification":
+            raise ConfigError("noise_fraction needs binary labels (kind=classification)")
+        ds = data.inject_label_noise(ds, dc.noise_fraction, dc.seed + 2)
+    return ds, ds_test
 
 
 @dataclass
@@ -210,18 +286,16 @@ class RunResult:
     diverged: bool
 
 
-def run_one(doc: dict, spec: NetworkSpec, ds, ds_test, seed: int) -> RunResult:
+def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
     """Train once for one seed, resolving eta='auto' against feasibility."""
-    tr = doc.get("train", {})
-    eta_override = None
-    if tr.get("eta") == "auto":
-        cfg0 = build_train_config(doc, seed)
-        params0 = init_gaussian(spec, cfg0.kappa, seed)
+    cfg = replace(config.train, seed=seed)
+    if config.eta_auto:
+        params0 = init_gaussian(config.spec, cfg.kappa, seed)
         c_f = estimate_c_f(params0, ds.inputs)
-        eta_override = max_feasible_eta(params0.norms(), spec, cfg0, c_f, ds.c_y)
-    cfg = build_train_config(doc, seed, eta_override)
+        eta = max_feasible_eta(params0.norms(), config.spec, cfg, c_f, ds.c_y)
+        cfg = replace(cfg, eta=eta)
     try:
-        traj = train(spec, ds, cfg, ds_test)
+        traj = train(config.spec, ds, cfg, ds_test)
         return RunResult(seed, cfg.eta, traj, False)
     except DivergenceError as exc:
         return RunResult(seed, cfg.eta, exc.trajectory, True)
@@ -261,13 +335,14 @@ def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> Non
             fh.write(f"# diverged at step {traj.diverged_at}\n")
 
 
-def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
+def read_trajectory_csv(path: str, config: Config) -> Trajectory:
     """Rebuild a logged run from its CSV; the config supplies what it omits.
 
     The CSV carries no seed, gradients, outputs or final parameters, so
     those fields are None.  A trailing `# diverged at step N` marker sets
     diverged_at.
     """
+    spec = config.spec
     diverged_at = None
     rows = []
     with open(path) as fh:
@@ -291,10 +366,9 @@ def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
     normsq = np.stack(
         [arr[:, col[f"normsq_{l + 1}"]] for l in range(spec.n_layers)], axis=1
     )
-    ds, _ = build_datasets(doc)
-    tr = doc.get("train", {})
+    ds, _ = build_datasets(config)
     return Trajectory(
-        algorithm=tr.get("algorithm", "GD"),
+        algorithm=config.train.algorithm,
         spec=spec,
         steps=np.arange(arr.shape[0]),
         times=arr[:, col["t"]],
@@ -305,7 +379,7 @@ def read_trajectory_csv(path: str, spec: NetworkSpec, doc: dict) -> Trajectory:
         cl=arr[:, col["CL"]],
         normsq=normsq,
         c_y=ds.c_y,
-        loss_power=int(tr.get("loss_power", 2)),
+        loss_power=config.train.loss_power,
         n_train=ds.n,
         diverged_at=diverged_at,
     )
@@ -317,31 +391,27 @@ def _dump_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _assemble(doc: dict, traj: Trajectory, cl_seed_mean=None):
-    bd = doc.get("bound", {})
-    lam = float(bd.get("lam", 0.5))
-    delta = float(bd.get("delta", 0.05))
-    rho = bd.get("rho", 1.0)
-    rho = float(rho) if rho is not None else None
+def _assemble(config: Config, traj: Trajectory, cl_seed_mean=None):
+    lam, delta, rho = config.train.lam, config.delta, config.rho
     report = bnd.assemble_bound(traj, lam, delta, rho=rho, cl_seed_mean=cl_seed_mean)
     series = bnd.bound_series(traj, lam, delta, rho=rho)
     return report, series
 
 
 def cmd_train(args) -> int:
-    doc = load_config(args.config)
-    spec = build_spec(doc)
-    out_dir = args.out or doc.get("output_dir", "out")
+    config = load_config(args.config)
+    seeds = config.seeds if args.seed is None else (args.seed,)
+    out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [int(args.seed)] if args.seed is not None else _seeds(doc)
-    ds, ds_test = build_datasets(doc)
-    results = [run_one(doc, spec, ds, ds_test, s) for s in seeds]
+    _check(config, seeds)
+    ds, ds_test = build_datasets(config)
+    results = [run_one(config, ds, ds_test, s) for s in seeds]
     primary = results[0]
     cl_seed_mean = None
     if len(results) > 1:
         cl_seed_mean = float(np.mean([res.trajectory.cl[-1] for res in results]))
     assembled = [
-        _assemble(doc, res.trajectory, cl_seed_mean if i == 0 else None)
+        _assemble(config, res.trajectory, cl_seed_mean if i == 0 else None)
         for i, res in enumerate(results)
     ]
     report, series = assembled[0]
@@ -351,7 +421,7 @@ def cmd_train(args) -> int:
     payload = report.to_dict()
     payload.update(
         {
-            "seeds": seeds,
+            "seeds": list(seeds),
             "eta_resolved": [res.eta for res in results],
             "final_ln_train": float(primary.trajectory.ln_train[-1]),
             "final_ln_test": (
@@ -364,7 +434,7 @@ def cmd_train(args) -> int:
         }
     )
     _dump_json(payload, os.path.join(out_dir, "report.json"))
-    if doc.get("svg", False):
+    if config.svg:
         traj = primary.trajectory
         t_col = traj.times if traj.algorithm == "GF" else traj.steps
         chart = svgchart.line_chart(
@@ -385,10 +455,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    doc = load_config(args.config)
-    spec = build_spec(doc)
-    traj = read_trajectory_csv(args.trajectory, spec, doc)
-    report, _ = _assemble(doc, traj)
+    config = load_config(args.config)
+    traj = read_trajectory_csv(args.trajectory, config)
+    report, _ = _assemble(config, traj)
     _dump_json(report.to_dict(), args.out)
     if traj.diverged_at is not None:
         print(f"trajectory diverged at step {traj.diverged_at}", file=sys.stderr)
@@ -420,124 +489,105 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc = load_config(args.config)
-    if "compare" not in doc:
+    config = load_config(args.config)
+    if config.betas is None:
         raise ConfigError("missing required section 'compare'")
-    comp = doc["compare"]
-    for key in ("betas", "loss_bound", "lip"):
-        if key not in comp:
-            raise ConfigError(f"section 'compare' is missing key '{key}'")
-    spec = build_spec(doc)
-    seed = _seeds(doc)[0]
-    out_dir = args.out or doc.get("output_dir", "out")
+    seed = config.seeds[0]
+    # one SGLD run per beta, then a GD reference, whose information bound is infinite
+    jobs = [("SGLD", beta) for beta in config.betas] + [("GD", math.inf)]
+    variants = [
+        replace(config, train=replace(config.train, algorithm=algorithm, beta=beta))
+        for algorithm, beta in jobs
+    ]
+    out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    ds, ds_test = build_datasets(doc)
-    betas = [float(b) for b in comp["betas"]]
-    loss_bound, lip = float(comp["loss_bound"]), float(comp["lip"])
-
-    def run_with(algorithm: str, beta: float | None):
-        local = copy.deepcopy(doc)
-        local.setdefault("train", {})["algorithm"] = algorithm
-        if beta is not None:
-            local["train"]["beta"] = beta
-        return run_one(local, spec, ds, ds_test, seed)
-
-    jobs = [("SGLD", b) for b in betas] + [("GD", None)]
-    results = [run_with(algorithm, beta) for algorithm, beta in jobs]
+    for variant in variants:
+        _check(variant, [seed])
+    ds, ds_test = build_datasets(config)
     rows = []
-    for (algorithm, beta), res in zip(jobs, results):
-        traj = res.trajectory
-        report, _ = _assemble(doc, traj)
+    for variant in variants:
+        traj = run_one(variant, ds, ds_test, seed).trajectory
+        report, _ = _assemble(config, traj)
+        beta = variant.train.beta
         eta_sum = float(np.sum(traj.eta[:-1]))
-        info = bnd.sgld_bound(
-            bnd.SgldBoundInputs(
-                loss_bound, lip, beta if beta is not None else math.inf, ds.n, eta_sum=eta_sum
-            )
-        )
-        rows.append((algorithm, beta if beta is not None else math.inf, report.cl, report.bound, info))
+        info = bnd.sgld_bound(bnd.SgldBoundInputs(config.loss_bound, config.lip, beta, ds.n, eta_sum))
+        cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info)]
+        rows.append(",".join([variant.train.algorithm] + cells) + "\n")
     path = os.path.join(out_dir, "compare.csv")
     with open(path, "w", newline="") as fh:
         fh.write("algorithm,beta,cl,bound_cl,bound_info\n")
-        for algorithm, beta, cl, bound_cl, info in rows:
-            fh.write(f"{algorithm},{_fmt(beta)},{_fmt(cl)},{_fmt(bound_cl)},{_fmt(info)}\n")
+        fh.writelines(rows)
     print(f"compare table -> {path}")
     return 0
 
 
-def _sweep_doc(doc: dict, axis: str, value) -> dict:
-    local = copy.deepcopy(doc)
+def _sweep_variant(config: Config, axis: str, value) -> Config:
+    """The config of one sweep value, after checking the value for its axis."""
+
+    def bad(rule: str) -> ConfigError:
+        return ConfigError(f"section 'sweep' key 'values': {rule}, got {json.dumps(value)}")
+
     if axis == "width":
-        w = int(value)
-        if w < 2:
-            raise ConfigError("width values must be >= 2")
-        net = local["network"]
-        if net.get("conv_kernels"):
+        if not _is_int(value) or value < 2:
+            raise bad("width values must be integers >= 2")
+        spec = config.spec
+        if spec.conv_kernels:
             raise ConfigError("the width axis applies to fully-connected networks")
-        old_m = int(net["output_width"])
-        old_p = float(net["norm_exponent"])
-        net["fc_widths"] = [w for _ in net["fc_widths"]]
-        net["output_width"] = w
-        # keep the readout scale m^p fixed across widths
-        net["norm_exponent"] = old_p * math.log(old_m) / math.log(w)
-    elif axis == "lr":
-        local.setdefault("train", {})["eta"] = float(value)
-    elif axis == "noise":
-        local.setdefault("data", {})["noise_fraction"] = float(value)
-    else:
-        raise ConfigError("axis must be one of width, lr, noise")
-    return local
+        width_spec = replace(
+            spec,
+            fc_widths=(value,) * len(spec.fc_widths),
+            output_width=value,
+            # keep the readout scale m^p fixed across widths
+            norm_exponent=spec.norm_exponent * math.log(spec.output_width) / math.log(value),
+        )
+        return replace(config, spec=width_spec)
+    if axis == "lr":
+        if not value > 0:
+            raise bad("lr values must be positive")
+        return replace(config, train=replace(config.train, eta=float(value)), eta_auto=False)
+    if not 0 <= value <= 1:
+        raise bad("noise values must lie in [0, 1]")
+    return replace(config, data=replace(config.data, noise_fraction=float(value)))
 
 
 def cmd_sweep(args) -> int:
-    doc = load_config(args.config)
-    sweep = doc.get("sweep", {})
-    axis = args.axis or sweep.get("axis")
+    config = load_config(args.config)
+    axis = args.axis or config.sweep_axis
     if not axis:
         raise ConfigError("no sweep axis given (--axis or config sweep.axis)")
-    values = sweep.get("values")
-    if not values:
-        raise ConfigError("config sweep.values must be a nonempty list")
-    out_dir = args.out or doc.get("output_dir", "out")
+    if config.sweep_values is None:
+        raise ConfigError("missing required section 'sweep'")
+    out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    seeds = _seeds(doc)
+    variants = [(value, _sweep_variant(config, axis, value)) for value in config.sweep_values]
+    datasets = {}  # width and lr values share one data section
+    for _, variant in variants:
+        _check(variant, config.seeds)
+        if variant.data not in datasets:
+            datasets[variant.data] = build_datasets(variant)
 
-    def run_value(value):
-        local = _sweep_doc(doc, axis, value)
-        spec = build_spec(local)
-        ds, ds_test = build_datasets(local)
-        results = [run_one(local, spec, ds, ds_test, s) for s in seeds]
-        cls, bound_values = [], []
-        primary_report = None
-        for i, res in enumerate(results):
-            report, series = _assemble(local, res.trajectory)
-            if i == 0:
-                primary_report = report
-                sub = os.path.join(out_dir, f"{axis}_{value}")
-                os.makedirs(sub, exist_ok=True)
-                write_trajectory_csv(
-                    res.trajectory, series, os.path.join(sub, "trajectory.csv")
-                )
-                _dump_json(report.to_dict(), os.path.join(sub, "report.json"))
-            cls.append(report.cl)
-            bound_values.append(report.bound)
-        return (
-            value,
-            primary_report.cl,
-            primary_report.bound,
-            float(np.mean(cls)),
-            float(np.mean(bound_values)),
-            any(res.diverged for res in results),
-        )
+    def run_value(value, variant) -> tuple[str, bool]:
+        """Runs one value's seeds and writes its directory; returns its sweep.csv row."""
+        ds, ds_test = datasets[variant.data]
+        results = [run_one(variant, ds, ds_test, s) for s in config.seeds]
+        assembled = [_assemble(config, res.trajectory) for res in results]
+        report, series = assembled[0]
+        sub = os.path.join(out_dir, f"{axis}_{value}")
+        os.makedirs(sub, exist_ok=True)
+        write_trajectory_csv(results[0].trajectory, series, os.path.join(sub, "trajectory.csv"))
+        _dump_json(report.to_dict(), os.path.join(sub, "report.json"))
+        cl_mean = float(np.mean([r.cl for r, _ in assembled]))
+        bound_mean = float(np.mean([r.bound for r, _ in assembled]))
+        cells = [_fmt(report.cl), _fmt(report.bound), _fmt(cl_mean), _fmt(bound_mean)]
+        row = ",".join([axis, str(value)] + cells) + "\n"
+        return row, any(res.diverged for res in results)
 
-    rows = [run_value(value) for value in values]
+    rows = [run_value(value, variant) for value, variant in variants]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("axis,value,cl,bound,cl_seed_mean,bound_seed_mean\n")
-        for value, cl, bound, cl_mean, bound_mean, diverged in rows:
-            fh.write(
-                f"{axis},{value},{_fmt(cl)},{_fmt(bound)},{_fmt(cl_mean)},{_fmt(bound_mean)}\n"
-            )
-    if any(r[5] for r in rows):
+        fh.writelines(row for row, _ in rows)
+    if any(diverged for _, diverged in rows):
         print("at least one sweep run diverged", file=sys.stderr)
         return 1
     print(f"sweep table -> {path}")

@@ -166,26 +166,11 @@ class Parameters:
         params.spec, params.layers = spec, layers
         return params
 
-    def copy(self) -> "Parameters":
-        return Parameters(self.spec, [arr.copy() for arr in self.layers])
-
-    def add_scaled(self, deltas: list[np.ndarray], c: float) -> "Parameters":
-        """New parameters `self + c*deltas`, leaving self untouched."""
-        return Parameters(self.spec, [arr + c * d for arr, d in zip(self.layers, deltas)])
-
-    def scale_layer(self, index: int, c: float) -> "Parameters":
-        out = [arr.copy() for arr in self.layers]
-        out[index] = out[index] * c
-        return Parameters(self.spec, out)
-
     def norms(self) -> np.ndarray:
         return np.array([np.linalg.norm(arr.ravel()) for arr in self.layers])
 
     def sq_norms(self) -> np.ndarray:
         return np.array([float(np.sum(arr * arr)) for arr in self.layers])
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for arr in self.layers])
 
 
 @dataclass

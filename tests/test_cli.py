@@ -210,8 +210,9 @@ def test_bound_recompute_matches_train(tmp_path, train_section):
     assert recomputed["init_sq_norms"] == original["init_sq_norms"]
     # the report's CL is the last row of the CSV's CL column, also for gradient flow
     assert _csv_column(out / "trajectory.csv", "CL")[-1] == original["cl"]
-    traj = cli.read_trajectory_csv(str(out / "trajectory.csv"), cli.build_spec(doc), doc)
-    _, series = cli._assemble(doc, traj)
+    config = cli.load_config(cfg)
+    traj = cli.read_trajectory_csv(str(out / "trajectory.csv"), config)
+    _, series = cli._assemble(config, traj)
     assert series.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
 
 
@@ -290,17 +291,41 @@ def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, r
         ("train", {"network": {"fc_widths": 16}}),
         ("train", {"train": {"alpha": [1]}}),
         ("train", {"data": {"n_train": [16]}}),
+        # at the parent these trained first, ended in a traceback, wrote a sweep value
+        # first or named no section and key
+        ("train", {"bound": {"delta": [0.05]}}),
+        ("train", {"bound": {"rho": "x"}}),
+        ("train", {"bound": {"delta": 1.5}}),
+        ("train", {"bound": {"lam": [0.5]}}),
+        ("train", {"bound": {"epsilon": "x"}}),
+        ("compare", {"compare": {"loss_bound": 0.25, "lip": 1.0, "betas": 10}}),
+        ("compare", {"compare": {"betas": [10], "loss_bound": 0.25, "lip": [1]}}),
+        ("sweep", {"sweep": {"axis": "width", "values": [[4]]}}),
+        ("sweep", {"sweep": {"axis": "lr", "values": 0.5}}),
+        ("sweep", {"sweep": {"axis": "lr", "values": [0.05, "x"]}}),
+        ("sweep", {"sweep": {"axis": "lr", "values": [0.05, -0.1]}}),
+        # at the parent these trained a run other than the one the config names
+        ("train", {"train": {"loss_power": 2.5}}),
+        ("train", {"network": {"output_width": 16, "fc_widths": [16.5]}}),
+        ("train", {"svg": "false"}),
+        ("train", {"data": {"noise_fraction": -0.5}}),
+        ("train --seed 3", {"seeds": [0.5]}),
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, override):
-    doc = _base_config(
-        sweep={"axis": "lr", "values": [0.05]},
-        compare={"betas": [10], "loss_bound": 0.25, "lip": 1.0},
-        **override,
-    )
-    code = cli.main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path / "o")])
+    sections = {
+        "sweep": {"axis": "lr", "values": [0.05]},
+        "compare": {"betas": [10], "loss_bound": 0.25, "lip": 1.0},
+    }
+    doc = _base_config(**{**sections, **override})
+    out = tmp_path / "o"
+    code = cli.main(command.split() + ["--config", _write(tmp_path, doc), "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    # the faulty key is the last one the override names
+    section, value = list(override.items())[-1]
+    section, key = (section, list(value)[-1]) if isinstance(value, dict) else ("<top>", section)
+    assert capsys.readouterr().err.startswith(f"config error: section '{section}' key '{key}': ")
+    assert not any(files for _, _, files in os.walk(out))
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
