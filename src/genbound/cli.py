@@ -557,22 +557,29 @@ def cmd_sweep(args) -> int:
         raise ConfigError("no sweep axis given (--axis or config sweep.axis)")
     if config.sweep_values is None:
         raise ConfigError("missing required section 'sweep'")
+    names = [f"{axis}_{value}" for value in config.sweep_values]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ConfigError(f"section 'sweep' key 'values': two values write {repeated[0]}/")
     out_dir = args.out or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    variants = [(value, _sweep_variant(config, axis, value)) for value in config.sweep_values]
+    variants = [
+        (name, value, _sweep_variant(config, axis, value))
+        for name, value in zip(names, config.sweep_values)
+    ]
     datasets = {}  # width and lr values share one data section
-    for _, variant in variants:
+    for _, _, variant in variants:
         _check(variant, config.seeds)
         if variant.data not in datasets:
             datasets[variant.data] = build_datasets(variant)
 
-    def run_value(value, variant) -> tuple[str, bool]:
+    def run_value(name, value, variant) -> tuple[str, bool]:
         """Runs one value's seeds and writes its directory; returns its sweep.csv row."""
         ds, ds_test = datasets[variant.data]
         results = [run_one(variant, ds, ds_test, s) for s in config.seeds]
         assembled = [_assemble(config, res.trajectory) for res in results]
         report, series = assembled[0]
-        sub = os.path.join(out_dir, f"{axis}_{value}")
+        sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)
         write_trajectory_csv(results[0].trajectory, series, os.path.join(sub, "trajectory.csv"))
         _dump_json(report.to_dict(), os.path.join(sub, "report.json"))
@@ -582,7 +589,7 @@ def cmd_sweep(args) -> int:
         row = ",".join([axis, str(value)] + cells) + "\n"
         return row, any(res.diverged for res in results)
 
-    rows = [run_value(value, variant) for value, variant in variants]
+    rows = [run_value(name, value, variant) for name, value, variant in variants]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("axis,value,cl,bound,cl_seed_mean,bound_seed_mean\n")

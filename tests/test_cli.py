@@ -304,12 +304,14 @@ def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, r
         ("sweep", {"sweep": {"axis": "lr", "values": 0.5}}),
         ("sweep", {"sweep": {"axis": "lr", "values": [0.05, "x"]}}),
         ("sweep", {"sweep": {"axis": "lr", "values": [0.05, -0.1]}}),
-        # at the parent these trained a run other than the one the config names
+        # at the parent these trained runs other than the ones the config names,
+        # or wrote two runs into one directory
         ("train", {"train": {"loss_power": 2.5}}),
         ("train", {"network": {"output_width": 16, "fc_widths": [16.5]}}),
         ("train", {"svg": "false"}),
         ("train", {"data": {"noise_fraction": -0.5}}),
         ("train --seed 3", {"seeds": [0.5]}),
+        ("sweep", {"sweep": {"axis": "lr", "values": [0.05, 0.05, 0.1]}}),
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, override):
