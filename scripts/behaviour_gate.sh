@@ -7,7 +7,9 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
-# train on bench/wide_gd.json, and verify --seed 0.  Four more configs are
+# train on bench/wide_gd.json, and verify --seed 0 and --seed 3 (a second
+# seed, so a change to the random streams or their summation shows at more
+# than one draw).  Four more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed CNN SGLD run
@@ -115,6 +117,7 @@ run_side() {  # run_side TREE OUTDIR
         done
         gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
         gb verify verify --seed 0 --out verify.json
+        gb verify3 verify --seed 3 --out verify3.json
     )
 }
 

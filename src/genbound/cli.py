@@ -401,10 +401,10 @@ def _assemble(config: Config, traj: Trajectory, cl_seed_mean=None):
 def cmd_train(args) -> int:
     config = load_config(args.config)
     seeds = config.seeds if args.seed is None else (args.seed,)
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     _check(config, seeds)
     ds, ds_test = build_datasets(config)
+    out_dir = args.out or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     results = [run_one(config, ds, ds_test, s) for s in seeds]
     primary = results[0]
     cl_seed_mean = None
@@ -499,11 +499,11 @@ def cmd_compare(args) -> int:
         replace(config, train=replace(config.train, algorithm=algorithm, beta=beta))
         for algorithm, beta in jobs
     ]
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     for variant in variants:
         _check(variant, [seed])
     ds, ds_test = build_datasets(config)
+    out_dir = args.out or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for variant in variants:
         traj = run_one(variant, ds, ds_test, seed).trajectory
@@ -561,8 +561,6 @@ def cmd_sweep(args) -> int:
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ConfigError(f"section 'sweep' key 'values': two values write {repeated[0]}/")
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     variants = [
         (name, value, _sweep_variant(config, axis, value))
         for name, value in zip(names, config.sweep_values)
@@ -572,6 +570,8 @@ def cmd_sweep(args) -> int:
         _check(variant, config.seeds)
         if variant.data not in datasets:
             datasets[variant.data] = build_datasets(variant)
+    out_dir = args.out or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
 
     def run_value(name, value, variant) -> tuple[str, bool]:
         """Runs one value's seeds and writes its directory; returns its sweep.csv row."""

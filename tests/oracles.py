@@ -124,6 +124,30 @@ def layer_tail_probability(q: int, kappa: float, threshold: float) -> float:
     return float(chi2.sf(threshold * q / kappa**2, df=q))
 
 
+def init_row_sums(q: int, kappa: float, draws: int, rng) -> np.ndarray:
+    """||layer||^2 for `draws` layers of q iid N(0, kappa^2/q) entries, drawn in one shot."""
+    z = rng.normal(0.0, kappa / np.sqrt(q), size=(draws, q))
+    return np.einsum("ij,ij->i", z, z)
+
+
+def norm_dynamics_worst(traj, lam: float) -> float:
+    """Worst relative slack of the norm-dynamics invariant, step by step and layer by layer."""
+    worst = -np.inf
+    if traj.algorithm == "GF":
+        h = float(traj.eta[0])
+        for k in range(traj.gradsq.shape[0]):
+            for l in range(traj.normsq.shape[1]):
+                allowed = 2.0 * h * traj.psi[k] + h * h * traj.gradsq[k, l]
+                inc = traj.normsq[k + 1, l] - traj.normsq[k, l]
+                worst = max(worst, (inc - allowed) / (1.0 + abs(allowed)))
+        return worst
+    for k in range(traj.normsq.shape[0]):
+        for l in range(traj.normsq.shape[1]):
+            rhs = (1.0 + 2.0 * lam * lam) * traj.normsq[0, l] + traj.cl[k]
+            worst = max(worst, (traj.normsq[k, l] - rhs) / (1.0 + abs(rhs)))
+    return worst
+
+
 def psi_reference(ln: float, c_y: float) -> float:
     root = np.sqrt(2.0 * ln)
     return float(root * (c_y - root))

@@ -131,12 +131,12 @@ def test_criterion_05_feasible_rate_norm_growth():
 def test_criterion_06_init_concentration():
     t0 = time.monotonic()
     spec = NetworkSpec(1, (), (16, 256), 256, 0.5)  # layer sizes 16, 4096, 256
-    details = []
-    ok = True
-    for delta in (0.1, 0.01):
-        out = init_concentration_test(spec, kappa=1.5, delta=delta, draws=10_000, seed=11)
-        ok = ok and out.passed
-        details.append(f"delta={delta}: excess {out.max_violation:.2e} <= {out.tolerance:.2e}")
+    outs = init_concentration_test(spec, kappa=1.5, deltas=(0.1, 0.01), draws=10_000, seed=11)
+    ok = all(out.passed for out in outs)
+    details = [
+        f"delta={delta}: excess {out.max_violation:.2e} <= {out.tolerance:.2e}"
+        for delta, out in zip((0.1, 0.01), outs)
+    ]
     _line(6, "initialization norm concentration", ok, "; ".join(details), t0)
 
 

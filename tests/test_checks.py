@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from genbound import checks
 from genbound.checks import (
     SUITE_NAMES,
     CheckOutcome,
@@ -29,7 +30,7 @@ from genbound.data import Dataset, synth_regression
 from genbound.network import NetworkSpec, forward, init_gaussian
 from genbound.training import TrainConfig, train
 
-from oracles import layer_tail_probability
+from oracles import init_row_sums, layer_tail_probability, norm_dynamics_worst
 
 
 def test_outcome_pass_semantics():
@@ -108,7 +109,7 @@ def test_finite_diff_restores_parameters():
 def test_init_concentration_matches_chi2_oracle():
     spec = NetworkSpec(1, (), (16, 256), 256, 0.5)  # layer sizes 16, 4096, 256
     kappa, delta, draws = 1.5, 0.1, 10_000
-    out = init_concentration_test(spec, kappa, delta, draws, seed=0)
+    (out,) = init_concentration_test(spec, kappa, (delta,), draws, seed=0)
     assert out.passed
     logd = math.log(1.0 / delta)
     freqs = dict(part.split(":") for part in out.detail.split(" "))
@@ -122,12 +123,73 @@ def test_init_concentration_matches_chi2_oracle():
         assert abs(float(freqs[f"q={q}"]) - exact) <= 4.0 * se + 1e-4
 
 
+@pytest.mark.parametrize("block", [None, 1000])
+def test_init_concentration_blocks_match_one_shot_oracle(monkeypatch, block):
+    # 1501 draws leave a partial last block in every layer: 512 rows of
+    # q=4096 per shipped block; 62, 1 and 3 rows of q=16, 4096, 256 per
+    # 1000-double block, where q=4096 overflows the block to one row
+    if block is not None:
+        monkeypatch.setattr(checks, "_DRAW_BLOCK", block)
+    spec = NetworkSpec(1, (), (16, 256), 256, 0.5)
+    kappa, draws, seed, deltas = 1.5, 1501, 5, (0.1, 0.01)
+    expected = {delta: ([], -math.inf) for delta in deltas}
+    for li, (q, sums) in enumerate(checks._init_row_sums(spec, kappa, draws, seed)):
+        oracle = init_row_sums(q, kappa, draws, checks._rng(seed, li))
+        assert sums.tobytes() == oracle.tobytes()
+        for delta in deltas:
+            logd = math.log(1.0 / delta)
+            threshold = kappa * kappa * (1.0 + max(4.0 * logd / q, math.sqrt(8.0 * logd / q)))
+            freq = int(np.sum(oracle > threshold)) / draws
+            details, worst = expected[delta]
+            expected[delta] = (details + [f"q={q}:{freq:.4g}"], max(worst, freq - delta))
+    outs = init_concentration_test(spec, kappa, deltas, draws, seed)
+    assert [o.name for o in outs] == [f"init-concentration-delta={d}" for d in deltas]
+    for out, delta in zip(outs, deltas):
+        details, worst = expected[delta]
+        assert out.detail == " ".join(details)
+        assert out.max_violation == worst
+        assert out.instances == 3 * draws
+
+
+def test_init_concentration_deltas_share_draws():
+    spec = NetworkSpec(1, (), (16, 256), 256, 0.5)
+    both = init_concentration_test(spec, 1.5, (0.1, 0.01), 2000, seed=7)
+    single = [init_concentration_test(spec, 1.5, (d,), 2000, seed=7)[0] for d in (0.1, 0.01)]
+    assert both == single
+    assert json.dumps([o.to_dict() for o in both]) == json.dumps([o.to_dict() for o in single])
+
+
+def test_init_concentration_suite_pinned():
+    # `verify --suite init-concentration --seed 0` as the per-delta, freshly
+    # allocated draws gave it: a change to the streams or the sums shows here
+    outs = [o.to_dict() for o in run_suites(["init-concentration"], seed=0)]
+    assert outs == [
+        {
+            "name": "init-concentration-delta=0.1",
+            "instances": 30000,
+            "max_violation": -0.09280000000000001,
+            "tolerance": 0.009000000000000001,
+            "passed": True,
+            "detail": "q=16:0.0072 q=4096:0.0015 q=256:0.0023",
+        },
+        {
+            "name": "init-concentration-delta=0.01",
+            "instances": 30000,
+            "max_violation": -0.0094,
+            "tolerance": 0.0029849623113198595,
+            "passed": True,
+            "detail": "q=16:0.0006 q=4096:0 q=256:0.0001",
+        },
+    ]
+
+
 def test_init_concentration_validates():
     spec = NetworkSpec(1, (), (4,), 4, 0.5)
     with pytest.raises(ValueError):
-        init_concentration_test(spec, 1.0, 0.1, 100, seed=0)
-    with pytest.raises(ValueError):
-        init_concentration_test(spec, 1.0, 1.5, 10_000, seed=0)
+        init_concentration_test(spec, 1.0, (0.1,), 100, seed=0)
+    for deltas in [(1.5,), (0.1, 1.5), (0.0, 0.1), (0.1, 0.01, -0.2), (0.1, 1.0)]:
+        with pytest.raises(ValueError, match="delta"):
+            init_concentration_test(spec, 1.0, deltas, 10_000, seed=0)
 
 
 def test_norm_dynamics_passes_on_feasible_run():
@@ -146,6 +208,14 @@ def test_norm_dynamics_detects_violation():
     assert not check_norm_dynamics(traj, lam=0.5).passed
 
 
+def test_norm_dynamics_nan_norm_fails():
+    spec = NetworkSpec(3, (), (16,), 16, 0.5)
+    ds = synth_regression(64, seed=0)
+    traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.02, total_steps=20, seed=0, kappa=2.0))
+    traj.normsq[5, 1] = math.nan  # a step-by-step max(worst, nan) kept the finite worst and passed
+    assert not check_norm_dynamics(traj, lam=0.5).passed
+
+
 def test_norm_dynamics_gf_mode():
     spec = NetworkSpec(3, (), (8,), 8, 0.5)
     ds = synth_regression(32, seed=1)
@@ -154,6 +224,23 @@ def test_norm_dynamics_gf_mode():
     out = check_norm_dynamics(traj, lam=0.5)
     assert out.name == "norm-dynamics-gf"
     assert out.passed
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(algorithm="GD", eta=0.02, total_steps=40, seed=2, kappa=2.0),
+        TrainConfig(algorithm="SGD", eta=0.02, batch=8, total_steps=40, seed=3),
+        TrainConfig(algorithm="GF", duration=0.1, gf_substep=0.002, seed=4),
+    ],
+    ids=lambda cfg: cfg.algorithm,
+)
+def test_norm_dynamics_matches_loop_oracle(cfg):
+    spec = NetworkSpec(3, (), (8, 8), 8, 0.5)
+    traj = train(spec, synth_regression(32, seed=1), cfg)
+    out = check_norm_dynamics(traj, lam=0.4)
+    assert out.max_violation == norm_dynamics_worst(traj, lam=0.4)
+    assert out.instances == (traj.normsq.shape[0] - (cfg.algorithm == "GF")) * 3
 
 
 def test_mc_rademacher_below_upper():

@@ -330,6 +330,23 @@ def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, ove
     assert not any(files for _, _, files in os.walk(out))
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        # each parses, then fails a range check or its data build
+        ("train", {"train": {"algorithm": "SGLD"}}),  # SGLD without beta
+        ("compare", {"train": {"kappa": -1.0}, "compare": {"betas": [10], "loss_bound": 0.25, "lip": 1.0}}),
+        ("sweep", {"sweep": {"axis": "noise", "values": [0.0, 0.1]}}),  # regression labels
+    ],
+)
+def test_run_check_error_writes_no_directory(tmp_path, capsys, command, override):
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", _write(tmp_path, _base_config(**override)), "--out", str(out)])
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     out_file = tmp_path / "verify.json"
     # value-bounds yields numpy-scalar violations; the JSON dump must take them
