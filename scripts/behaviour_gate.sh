@@ -9,13 +9,15 @@
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
 # train on bench/wide_gd.json, and verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
-# than one draw).  Four more configs are
+# than one draw).  Five more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
-# test set and an SVG chart (train and bound); a two-seed CNN SGLD run
-# (train); a GD run that diverges at step 3 (train and bound, both exit 1);
-# and a two-seed width sweep over JSON integers (sweep), whose directory
-# names and sweep.csv value column spell each value as the JSON does.
+# test set and an SVG chart (train and bound); a two-seed minibatch SGD run
+# with loss_power 4, label noise and a test set (train and bound); a
+# two-seed CNN SGLD run (train); a GD run that diverges at step 3 (train
+# and bound, both exit 1); and a two-seed width sweep over JSON integers
+# (sweep), whose directory names and sweep.csv value column spell each
+# value as the JSON does.
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
@@ -44,6 +46,16 @@ write_extra_configs() {  # write_extra_configs DIR
   "bound": {"lam": 0.5, "delta": 0.05},
   "seeds": [0, 1],
   "svg": true
+}
+EOF
+    cat >"$1/sgd_power4.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [16, 16], "output_width": 16, "norm_exponent": 0.5},
+  "train": {"algorithm": "SGD", "eta": 0.1, "batch": 16, "total_steps": 200, "loss_power": 4},
+  "data": {"source": "synthetic", "kind": "classification", "n_train": 128, "n_test": 64,
+           "c_y": 0.5, "noise_fraction": 0.25, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1]
 }
 EOF
     cat >"$1/cnn_sgld.json" <<'EOF'
@@ -108,10 +120,10 @@ run_side() {  # run_side TREE OUTDIR
         gb bound_toy bound --config configs/toy_regression.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
-        for stem in gf_power4 cnn_sgld gd_diverge; do
+        for stem in gf_power4 sgd_power4 cnn_sgld gd_diverge; do
             gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"
         done
-        for stem in gf_power4 gd_diverge; do
+        for stem in gf_power4 sgd_power4 gd_diverge; do
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done

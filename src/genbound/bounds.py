@@ -58,7 +58,7 @@ def psi(ln, c_y: float, loss_power: int = 2):
     if a < 2 or a != loss_power:
         raise ValueError("loss_power must be an integer >= 2")
     ln_arr = np.asarray(ln, dtype=float)
-    if np.any(ln_arr < 0):
+    if (ln_arr < 0).any():
         raise ValueError("loss must be nonnegative")
     if a == 2:
         root = np.sqrt(2.0 * ln_arr)

@@ -32,7 +32,6 @@ __all__ = [
     "check_homogeneity",
     "check_value_grad_bounds",
     "aligned_rank_one_witness",
-    "finite_diff_grad",
     "init_concentration_test",
     "check_norm_dynamics",
     "mc_rademacher_lower",
@@ -41,7 +40,6 @@ __all__ = [
     "random_fnn_spec",
     "random_cnn_spec",
     "random_ball_points",
-    "sample_kink_free",
     "SUITE_NAMES",
     "run_suites",
 ]
@@ -115,17 +113,6 @@ def random_ball_points(rng, n: int, d: int) -> np.ndarray:
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = rng.uniform(size=(n, 1)) ** (1.0 / d)
     return g * r
-
-
-def sample_kink_free(params: Parameters, rng, margin: float, max_tries: int = 500):
-    """Input in the unit ball whose pre-activations all clear `margin`."""
-    d = params.spec.input_dim
-    for _ in range(max_tries):
-        x = random_ball_points(rng, 1, d)[0]
-        trace = forward(params, x)
-        if trace.kink_margin() >= margin:
-            return x, trace
-    raise RuntimeError(f"no kink-free input found within {max_tries} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +198,6 @@ def aligned_rank_one_witness(input_dim: int, width: int, seed: int) -> CheckOutc
     f = forward(params, u).f
     target = spec.out_scale * c1 * c2
     return CheckOutcome("value-bound-witness", 1, _rel(abs(f - target), target), 1e-9)
-
-
-def finite_diff_grad(params: Parameters, x: np.ndarray, h: float) -> list[np.ndarray]:
-    """Central finite differences of the output in every parameter."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grads = []
-    for W in params.layers:
-        g = np.empty_like(W)
-        flat_w = W.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_w.size):
-            orig = flat_w[i]
-            flat_w[i] = orig + h
-            f_plus = forward(params, x).f
-            flat_w[i] = orig - h
-            f_minus = forward(params, x).f
-            flat_w[i] = orig
-            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads
 
 
 # Doubles in the one block the initialization draws go through (16 MiB).

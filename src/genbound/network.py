@@ -170,7 +170,14 @@ class Parameters:
         return np.array([np.linalg.norm(arr.ravel()) for arr in self.layers])
 
     def sq_norms(self) -> np.ndarray:
-        return np.array([float(np.sum(arr * arr)) for arr in self.layers])
+        return _sq_norms(self.layers, np.empty(len(self.layers)))
+
+
+def _sq_norms(arrays, out: np.ndarray) -> np.ndarray:
+    """Write the squared Euclidean norm of each array into out, in order."""
+    for i, arr in enumerate(arrays):
+        out[i] = np.add.reduce(arr * arr, axis=None)  # np.sum's reduction, unwrapped
+    return out
 
 
 @dataclass
@@ -234,8 +241,8 @@ def _buffer(workspace: dict | None, key: tuple, shape: tuple, dtype=float) -> np
 def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = None):
     """Batched forward pass. Returns (outputs, activations, pre-activations).
 
-    With a workspace, the fc pre-activations and activations are written
-    into its buffers, so they hold until the next pass with that workspace.
+    With a workspace, each fc activation overwrites its pre-activation in
+    one buffer, which holds until the next pass with that workspace.
     """
     spec = params.spec
     Z = X
@@ -253,7 +260,7 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
             Z = y.reshape(Z.shape[0], m_out, s).mean(axis=2)
         else:
             shape = (Z.shape[0], W.shape[1])
-            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "pre"), shape))
+            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "z"), shape))
             Z = np.maximum(pre, 0.0, out=_buffer(workspace, (l, "z"), shape))
         pres.append(pre)
         zs.append(Z)
@@ -264,8 +271,9 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
 def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: dict | None = None):
     """Gradient of sum_i coef_i * f(x_i) with respect to every layer.
 
-    With a workspace, the fc weight gradients live in its buffers and are
-    overwritten by the next pass with that workspace.
+    The fc masks are read from the activations zs, since a workspace pass
+    leaves the activations in pres.  With a workspace, the fc weight gradients
+    live in its buffers and are overwritten by the next pass with that workspace.
     """
     spec = params.spec
     n = coef.shape[0]
@@ -273,17 +281,16 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
     grads[-1] = spec.out_scale * (zs[-1].T @ coef)
     top = len(params.layers) - 2
     G = _buffer(workspace, (top, "G"), (n, spec.output_width))
-    np.outer(coef, params.layers[-1], out=G)
+    np.multiply(coef[:, None], params.layers[-1], out=G)  # np.outer, unwrapped
     G *= spec.out_scale
     for l in range(top, -1, -1):
         W = params.layers[l]
-        pre = pres[l]
         Zin = zs[l]
         if l < spec.n_conv:
             s = spec.conv_kernels[l]
             K = spec.widths[l + 1] * s
             D = np.repeat(G, s, axis=1) / s
-            D[pre <= 0.0] = 0.0
+            D[pres[l] <= 0.0] = 0.0
             gw = np.empty(s)
             for j in range(s):
                 gw[j] = np.sum(D * Zin[:, j : j + K])
@@ -293,11 +300,12 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
                 for j in range(s):
                     G[:, j : j + K] += W[j] * D
         else:
-            # np.where(pre > 0, G, 0.0) in place: multiplying G's bit patterns
+            # np.where(pre > 0, G, 0.0) in place, read from z = max(pre, 0),
+            # which is > 0 exactly where pre is: multiplying G's bit patterns
             # by the 0/1 mask keeps each bit where the unit is on and gives
             # +0.0 where it is off (pre <= 0 or NaN), signed zeros and NaN
             # alike, with no branch per entry as a masked copy would take
-            on = np.greater(pre, 0.0, out=_buffer(workspace, (l, "on"), pre.shape, bool))
+            on = np.greater(zs[l + 1], 0.0, out=_buffer(workspace, (l, "on"), G.shape, bool))
             bits = G.view(np.uint64)
             np.multiply(bits, on, out=bits)
             grads[l] = np.matmul(Zin.T, G, out=_buffer(workspace, (l, "grad"), W.shape))

@@ -22,6 +22,7 @@ from .network import (
     Parameters,
     _loss_grad_outputs,
     _power_loss,
+    _sq_norms,
     batch_outputs,
     init_gaussian,
 )
@@ -338,10 +339,10 @@ def train(
             ln, grads, f = _loss_grad_outputs(
                 params, dataset.inputs, dataset.targets, config.loss_power, ws_full
             )
-        max_abs_f = max(max_abs_f, float(np.max(np.abs(f))))
+        max_abs_f = max(max_abs_f, float(np.abs(f).max()))
         if test_dataset is not None:
             ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
-            max_abs_f = max(max_abs_f, float(np.max(np.abs(f_te))))
+            max_abs_f = max(max_abs_f, float(np.abs(f_te).max()))
         psi_t = psi(ln, dataset.c_y, config.loss_power)
         if t > 0:
             if config.algorithm == "GF":
@@ -349,11 +350,11 @@ def train(
             else:
                 cl_running += 2.0 * eta[t - 1] * psi_col[t - 1]
         eta[t], ln_train[t], psi_col[t], cl[t] = eta_t, ln, psi_t, cl_running
-        normsq[t] = params.sq_norms()
-        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.all(np.isfinite(normsq[t])):
+        norms = _sq_norms(params.layers, normsq[t])
+        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.isfinite(norms).all():
             raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
         if t == n_steps:
             break
         params, grads = _update(params, grads, eta_t, config, dataset, rng, ws_batch)
-        gradsq[t] = [float(np.sum(g * g)) for g in grads]
+        _sq_norms(grads, gradsq[t])
     return trajectory(n_steps + 1)

@@ -7,6 +7,9 @@ agreement between the two routes actually means something.
 
 import numpy as np
 
+from genbound.checks import random_ball_points
+from genbound.network import forward
+
 
 def conv_matrix(kernel: np.ndarray, m_in: int) -> np.ndarray:
     """Dense matrix M with (M @ z)[k] = sum_j kernel[j] * z[j + k]."""
@@ -50,6 +53,38 @@ def dense_forward(params, x: np.ndarray) -> float:
         idx += 1
     a = params.layers[idx]
     return float(spec.out_scale * (a @ z))
+
+
+def finite_diff_grad(params, x: np.ndarray, h: float) -> list[np.ndarray]:
+    """Central finite differences of the output in every parameter.
+
+    Each entry is moved in place and restored, so params ends unchanged.
+    """
+    grads = []
+    for W in params.layers:
+        g = np.empty_like(W)
+        flat_w = W.ravel()
+        flat_g = g.ravel()
+        for i in range(flat_w.size):
+            orig = flat_w[i]
+            flat_w[i] = orig + h
+            f_plus = forward(params, x).f
+            flat_w[i] = orig - h
+            f_minus = forward(params, x).f
+            flat_w[i] = orig
+            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
+def sample_kink_free(params, rng, margin: float, max_tries: int = 500):
+    """Input in the unit ball whose pre-activations all clear `margin`."""
+    for _ in range(max_tries):
+        x = random_ball_points(rng, 1, params.spec.input_dim)[0]
+        trace = forward(params, x)
+        if trace.kink_margin() >= margin:
+            return x, trace
+    raise RuntimeError(f"no kink-free input found within {max_tries} tries")
 
 
 def fnn_loss_grad_where(params, X: np.ndarray, y: np.ndarray, loss_power: int):

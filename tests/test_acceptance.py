@@ -24,13 +24,11 @@ from genbound.checks import (
     check_norm_dynamics,
     check_value_grad_bounds,
     exhaustive_rademacher_tiny,
-    finite_diff_grad,
     init_concentration_test,
     mc_rademacher_lower,
     random_ball_points,
     random_cnn_spec,
     random_fnn_spec,
-    sample_kink_free,
     _rel,
     _rng,
 )
@@ -38,6 +36,8 @@ from genbound.data import synth_classification, synth_regression, inject_label_n
 from genbound.network import NetworkSpec, grad_f, init_gaussian
 from genbound.training import TrainConfig, estimate_c_f, max_feasible_eta, train
 from genbound import cli
+
+from oracles import finite_diff_grad, sample_kink_free
 
 
 def _line(num: int, label: str, ok: bool, detail: str, t0: float) -> None:

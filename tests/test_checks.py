@@ -17,20 +17,24 @@ from genbound.checks import (
     check_norm_dynamics,
     check_value_grad_bounds,
     exhaustive_rademacher_tiny,
-    finite_diff_grad,
     init_concentration_test,
     mc_rademacher_lower,
     random_ball_points,
     random_cnn_spec,
     random_fnn_spec,
     run_suites,
-    sample_kink_free,
 )
 from genbound.data import Dataset, synth_regression
 from genbound.network import NetworkSpec, forward, init_gaussian
 from genbound.training import TrainConfig, train
 
-from oracles import init_row_sums, layer_tail_probability, norm_dynamics_worst
+from oracles import (
+    finite_diff_grad,
+    init_row_sums,
+    layer_tail_probability,
+    norm_dynamics_worst,
+    sample_kink_free,
+)
 
 
 def test_outcome_pass_semantics():

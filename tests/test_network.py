@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbound.checks import (
-    finite_diff_grad,
-    random_cnn_spec,
-    random_fnn_spec,
-    sample_kink_free,
-)
+from genbound.checks import random_cnn_spec, random_fnn_spec
 from genbound.network import (
     NetworkSpec,
     Parameters,
+    _backward_batch,
     _loss_grad_outputs,
     batch_outputs,
     forward,
@@ -22,7 +18,7 @@ from genbound.network import (
     loss_and_grad,
 )
 
-from oracles import dense_forward, fnn_loss_grad_where
+from oracles import dense_forward, finite_diff_grad, fnn_loss_grad_where, sample_kink_free
 
 
 def test_conv_chaining_accepts_valid_dims():
@@ -158,9 +154,9 @@ def test_relu_derivative_zero_at_kink():
     assert float(np.max(np.abs(grads[0]))) == 0.0
 
 
-def _same_bits(a, b) -> bool:
+def _same_bits(a, b, equal_nan=False) -> bool:
     a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    return np.array_equal(a, b, equal_nan=equal_nan) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,6 +199,72 @@ def test_workspace_matches_fresh_arrays_bitwise(widths, p, sizes, loss_power, de
                 for g_got, g_want in zip(got[1], want[1]):
                     assert _same_bits(g_got, g_want)
             assert _same_bits(batch_outputs(params, X, workspace), batch_outputs(params, X))
+
+
+_KINK_X = np.array([[0.5, 0.25], [0.25, 0.5], [0.6, 0.1]])
+
+
+def _kink_params(nonfinite: bool) -> Parameters:
+    """A 2-6-3 net whose first-layer pre-activations on `_KINK_X` are, column
+    by column, NaN (or mixed), +inf (or mixed), -inf, +0.0, positive and
+    negative; the second layer adds a +0.0 and a negative column."""
+    spec = NetworkSpec(2, (), (6, 3), 3, 0.5)
+    inf = np.inf
+    first = np.array([[inf, inf, -inf, 0.0, 1.0, -1.0], [-inf, 1.0, 1.0, 0.0, 0.5, -0.5]])
+    if not nonfinite:
+        first[:, :2] = [[0.5, -1.0], [-1.0, 0.5]]
+    second = np.array([[0.5, 0.0, -1.0]] * 6) + np.arange(6)[:, None] / 8.0
+    second[:, 1] = 0.0
+    second[:, 2] = -np.abs(second[:, 2])
+    return Parameters._unchecked(spec, [first, second, np.array([0.75, -0.5, 1.25])])
+
+
+@pytest.mark.parametrize("nonfinite", [True, False])
+def test_mask_from_activations_matches_where_at_kinks(nonfinite):
+    # the fc mask is read from z = max(pre, 0): at NaN, +-inf, +0.0 and
+    # negative pre-activations it must keep np.where's bytes, with and
+    # without a workspace, NaN counted equal and sign bits compared
+    params = _kink_params(nonfinite)
+    y = np.array([0.1, -0.2, 0.3])
+    with np.errstate(invalid="ignore"):
+        pre = _KINK_X @ params.layers[0]
+        assert np.isnan(pre).any() == nonfinite and np.isneginf(pre).any()
+        assert (pre == 0.0).any() and (pre > 0.0).any() and (pre < 0.0).any()
+        want = fnn_loss_grad_where(params, _KINK_X, y, 2)
+        assert np.isfinite(want[2]).all() != nonfinite
+        workspace: dict = {}
+        for ws in (None, workspace):
+            loss, grads, f = _loss_grad_outputs(params, _KINK_X, y, 2, ws)
+            assert _same_bits(loss, want[0], equal_nan=True)
+            assert _same_bits(f, want[2], equal_nan=True)
+            for g_got, g_want in zip(grads, want[1]):
+                assert _same_bits(g_got, g_want, equal_nan=True)
+    # one buffer per fc layer holds the activation; the pre-activations of a
+    # pass without a workspace keep their negative entries
+    assert not [key for key in workspace if key[1] == "pre"]
+    if not nonfinite:
+        assert (forward(params, _KINK_X[0]).pre[0] < 0.0).any()
+
+
+def test_mask_from_activations_at_negative_zero():
+    # a matmul never returns -0.0, so the signed zero is fed to the backward
+    # pass directly; z = max(pre, 0) is > 0 exactly where pre is
+    spec = NetworkSpec(2, (), (6,), 6, 0.5)
+    params = Parameters(spec, [np.ones((2, 6)), np.linspace(-1.0, 1.0, 6)])
+    X = _KINK_X[:2]
+    inf = np.inf
+    pre = np.array([[np.nan, inf, -inf, -0.0, 0.0, 0.75], [-0.0, 0.5, np.nan, -inf, inf, -0.25]])
+    z = np.maximum(pre, 0.0)
+    np.testing.assert_array_equal(z > 0.0, pre > 0.0)
+    coef = np.array([0.25, -0.5])
+    G = spec.out_scale * np.outer(coef, params.layers[1])
+    want = [X.T @ np.where(pre > 0.0, G, 0.0), spec.out_scale * (z.T @ coef)]
+    with np.errstate(invalid="ignore"):
+        for ws in (None, {}):
+            for pres in ([pre], [z]):
+                got = _backward_batch(params, [X, z], pres, coef, ws)
+                for g_got, g_want in zip(got, want):
+                    assert _same_bits(g_got, g_want, equal_nan=True)
 
 
 def test_init_layer_norm_scale():

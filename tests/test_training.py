@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from genbound.bounds import psi
 from genbound.data import Dataset, synth_regression
 from genbound.network import NetworkSpec, Parameters, init_gaussian, loss_and_grad
 from genbound.training import (
@@ -160,8 +161,33 @@ def test_cl_column_is_exclusive_prefix():
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
     ds = synth_regression(64, seed=3)
     traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0))
-    np.testing.assert_allclose(traj.cl, cl_resum(traj.eta, traj.psi), atol=1e-15)
+    np.testing.assert_array_equal(traj.cl, cl_resum(traj.eta, traj.psi))
     assert traj.cl[0] == 0.0
+
+
+@pytest.mark.parametrize("loss_power", [2, 4])
+@pytest.mark.parametrize(
+    "algorithm, extra",
+    [
+        ("GD", {"total_steps": 30}),
+        ("SGD", {"total_steps": 30, "batch": 8}),
+        ("SGLD", {"total_steps": 30, "beta": 100.0}),
+        ("GF", {"duration": 0.2, "gf_substep": 0.01}),
+    ],
+)
+def test_logged_psi_and_norms_are_scalar_values(algorithm, extra, loss_power):
+    # each step's psi is the scalar psi of its logged loss, and each logged
+    # squared norm is np.sum(w * w) of the layer, bit for bit
+    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8, 8), output_width=8, norm_exponent=0.5)
+    ds = synth_regression(64, seed=3)
+    test = synth_regression(32, seed=4, split="test") if algorithm == "SGD" else None
+    config = TrainConfig(algorithm=algorithm, eta=0.1, seed=1, loss_power=loss_power, **extra)
+    traj = train(spec, ds, config, test_dataset=test)
+    assert traj.has_test == (test is not None)
+    want = [psi(float(x), ds.c_y, loss_power) for x in traj.ln_train]
+    np.testing.assert_array_equal(traj.psi, want)
+    want = [float(np.sum(w * w)) for w in traj.final_params.layers]
+    np.testing.assert_array_equal(traj.normsq[-1], want)
 
 
 def test_trajectory_shapes_and_test_losses():
