@@ -7,9 +7,11 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
-# train on bench/wide_gd.json, and verify --seed 0 and --seed 3 (a second
+# train on bench/wide_gd.json, verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
-# than one draw).  Five more configs are
+# than one draw), and verify --seed 2 on rademacher, init-concentration,
+# rademacher (the order of the outcomes when init-concentration runs on its
+# own thread and a suite repeats).  Five more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -130,6 +132,8 @@ run_side() {  # run_side TREE OUTDIR
         gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
         gb verify verify --seed 0 --out verify.json
         gb verify3 verify --seed 3 --out verify3.json
+        gb verify_order verify --suite rademacher --suite init-concentration \
+            --suite rademacher --seed 2 --out verify_order.json
     )
 }
 

@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,7 +132,7 @@ class NetworkSpec:
 
     def layer_sizes(self) -> list[int]:
         """q(l), the parameter count of each layer."""
-        return [int(np.prod(s)) for s in self.layer_shapes()]
+        return [math.prod(s) for s in self.layer_shapes()]
 
 
 @dataclass
@@ -152,7 +153,7 @@ class Parameters:
         for i, (arr, shape) in enumerate(zip(self.layers, shapes)):
             if arr.shape != shape:
                 raise ValueError(f"layer {i + 1}: expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"layer {i + 1}: non-finite entries")
 
     @classmethod
@@ -167,10 +168,13 @@ class Parameters:
         return params
 
     def norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(arr.ravel()) for arr in self.layers])
+        return np.array([_norm(arr) for arr in self.layers])
 
-    def sq_norms(self) -> np.ndarray:
-        return _sq_norms(self.layers, np.empty(len(self.layers)))
+
+def _norm(arr: np.ndarray) -> float:
+    """Euclidean norm of all entries, bit for bit np.linalg.norm(arr) without its wrapper."""
+    v = arr.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _sq_norms(arrays, out: np.ndarray) -> np.ndarray:
@@ -208,8 +212,7 @@ def init_gaussian(spec: NetworkSpec, kappa: float, seed: int | np.random.Generat
     rng = np.random.default_rng(seed)
     layers = []
     for shape in spec.layer_shapes():
-        q = int(np.prod(shape))
-        layers.append(rng.normal(0.0, kappa / np.sqrt(q), size=shape))
+        layers.append(rng.normal(0.0, kappa / math.sqrt(math.prod(shape)), size=shape))
     return Parameters(spec, layers)
 
 
@@ -234,7 +237,9 @@ def _buffer(workspace: dict | None, key: tuple, shape: tuple, dtype=float) -> np
         return np.empty(shape, dtype)
     buf = workspace.get(key)
     if buf is None or buf.shape != shape:
-        buf = workspace[key] = np.empty(shape, dtype)
+        raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
+        start = -raw.ctypes.data % 64  # 64-byte aligned: SIMD loop speed then ignores heap layout
+        buf = workspace[key] = raw[start : start + raw.size - 64].view(dtype).reshape(shape)
     return buf
 
 

@@ -332,7 +332,7 @@ def train(
             eta_t = h
         else:
             eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
-        if config.algorithm == "SGD":
+        if config.algorithm == "SGD" or t == n_steps:  # the last row needs no gradient
             ln, f = _batch_loss(params, dataset, config.loss_power, ws_full)
             grads = None
         else:

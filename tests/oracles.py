@@ -159,6 +159,15 @@ def layer_tail_probability(q: int, kappa: float, threshold: float) -> float:
     return float(chi2.sf(threshold * q / kappa**2, df=q))
 
 
+def init_gaussian_reference(spec, kappa: float, seed: int) -> list[np.ndarray]:
+    """Layers of init_gaussian(spec, kappa, seed), drawn as numpy's own scalar math gives them."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.normal(0.0, kappa / np.sqrt(int(np.prod(shape))), size=shape)
+        for shape in spec.layer_shapes()
+    ]
+
+
 def init_row_sums(q: int, kappa: float, draws: int, rng) -> np.ndarray:
     """||layer||^2 for `draws` layers of q iid N(0, kappa^2/q) entries, drawn in one shot."""
     z = rng.normal(0.0, kappa / np.sqrt(q), size=(draws, q))

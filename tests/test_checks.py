@@ -3,6 +3,8 @@ able to fail on corrupted ones."""
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,8 +131,8 @@ def test_init_concentration_matches_chi2_oracle():
 
 @pytest.mark.parametrize("block", [None, 1000])
 def test_init_concentration_blocks_match_one_shot_oracle(monkeypatch, block):
-    # 1501 draws leave a partial last block in every layer: 512 rows of
-    # q=4096 per shipped block; 62, 1 and 3 rows of q=16, 4096, 256 per
+    # 1501 draws leave a partial last block in every layer: 256 rows of
+    # q=4096 per shipped 8 MiB block; 62, 1 and 3 rows of q=16, 4096, 256 per
     # 1000-double block, where q=4096 overflows the block to one row
     if block is not None:
         monkeypatch.setattr(checks, "_DRAW_BLOCK", block)
@@ -316,9 +318,100 @@ def test_random_cnn_specs_always_chain():
         assert m >= 1
 
 
-def test_run_suites_unknown_name():
+def test_run_suites_unknown_name(monkeypatch):
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["nope"])
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "loss-decomposition", lambda *a: ran.append(a) or [])
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["loss-decomposition", "nope"])
+    assert ran == []  # every name is checked before the first suite runs
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        list(SUITE_NAMES),
+        ["init-concentration", "loss-decomposition", "norm-dynamics"],
+        ["loss-decomposition", "homogeneity", "init-concentration"],
+        ["rademacher", "init-concentration", "rademacher", "init-concentration"],
+    ],
+    ids=["all", "init-first", "init-last", "repeated"],
+)
+def test_run_suites_overlap_matches_sequential_calls(names):
+    # init-concentration runs on its own thread; the pooled outcomes keep
+    # the bytes and the order of calling each suite in turn
+    got = [o.to_dict() for o in run_suites(names, seed=1)]
+    want = [o.to_dict() for name in names for o in checks.SUITES[name](1, False)]
+    assert json.dumps(got).encode() == json.dumps(want).encode()
+
+
+def _stub(name, threads, error=None, delay=0.0):
+    def suite(seed, inject_bug):  # records (name, ran on the main thread) when it ends
+        time.sleep(delay)
+        threads.append((name, threading.current_thread() is threading.main_thread()))
+        if error is not None:
+            raise error
+        return [CheckOutcome(name, 1, 0.0, 1.0)]
+
+    return suite
+
+
+def test_run_suites_thread_only_for_init_concentration(monkeypatch):
+    threads = []
+    before = threading.active_count()
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(checks.SUITES, name, _stub(name, threads, delay=0.05))
+    outs = run_suites(["homogeneity", "init-concentration", "homogeneity", "rademacher"])
+    assert [o.name for o in outs] == ["homogeneity", "init-concentration", "homogeneity", "rademacher"]
+    assert sorted(threads) == [
+        ("homogeneity", True),
+        ("homogeneity", True),
+        ("init-concentration", False),
+        ("rademacher", True),
+    ]
+    assert threading.active_count() == before
+    counts = []
+    monkeypatch.setitem(
+        checks.SUITES, "rademacher", lambda *a: counts.append(threading.active_count()) or []
+    )
+    run_suites(["rademacher", "homogeneity"])
+    assert counts == [before]  # no thread without init-concentration
+
+
+def test_run_suites_foreground_error_joins_thread(monkeypatch):
+    threads = []
+    before = threading.active_count()
+    monkeypatch.setitem(checks.SUITES, "init-concentration", _stub("init", threads, delay=0.3))
+    monkeypatch.setitem(
+        checks.SUITES, "rademacher", _stub("rademacher", threads, error=KeyError("fg"))
+    )
+    with pytest.raises(KeyError, match="fg"):
+        run_suites(["init-concentration", "rademacher"])
+    # the slow background suite finished before the error left run_suites
+    assert threads == [("rademacher", True), ("init", False)]
+    assert threading.active_count() == before
+
+
+def test_run_suites_raises_first_error_in_request_order(monkeypatch):
+    threads = []
+    init_error, fg_error = RuntimeError("init"), RuntimeError("fg")
+    monkeypatch.setitem(
+        checks.SUITES, "init-concentration", _stub("init", threads, error=init_error, delay=0.1)
+    )
+    monkeypatch.setitem(checks.SUITES, "rademacher", _stub("rademacher", threads))
+    monkeypatch.setitem(checks.SUITES, "homogeneity", _stub("homogeneity", threads, error=fg_error))
+    before = threading.active_count()
+    for names, error in [
+        (["rademacher", "init-concentration", "homogeneity"], init_error),
+        (["init-concentration", "homogeneity"], init_error),
+        (["homogeneity", "init-concentration"], fg_error),
+        (["rademacher", "init-concentration", "rademacher"], init_error),
+    ]:
+        with pytest.raises(RuntimeError) as info:
+            run_suites(names)
+        assert info.value is error, names
+        assert threading.active_count() == before
 
 
 def test_run_suites_deterministic():

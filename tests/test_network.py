@@ -11,6 +11,7 @@ from genbound.network import (
     Parameters,
     _backward_batch,
     _loss_grad_outputs,
+    _sq_norms,
     batch_outputs,
     forward,
     grad_f,
@@ -18,7 +19,13 @@ from genbound.network import (
     loss_and_grad,
 )
 
-from oracles import dense_forward, finite_diff_grad, fnn_loss_grad_where, sample_kink_free
+from oracles import (
+    dense_forward,
+    finite_diff_grad,
+    fnn_loss_grad_where,
+    init_gaussian_reference,
+    sample_kink_free,
+)
 
 
 def test_conv_chaining_accepts_valid_dims():
@@ -199,6 +206,7 @@ def test_workspace_matches_fresh_arrays_bitwise(widths, p, sizes, loss_power, de
                 for g_got, g_want in zip(got[1], want[1]):
                     assert _same_bits(g_got, g_want)
             assert _same_bits(batch_outputs(params, X, workspace), batch_outputs(params, X))
+    assert all(buf.ctypes.data % 64 == 0 for buf in workspace.values())
 
 
 _KINK_X = np.array([[0.5, 0.25], [0.25, 0.5], [0.6, 0.1]])
@@ -273,9 +281,42 @@ def test_init_layer_norm_scale():
     sq = np.zeros(spec.n_layers)
     draws = 400
     for seed in range(draws):
-        sq += init_gaussian(spec, 1.5, seed=seed).sq_norms()
+        sq += _sq_norms(init_gaussian(spec, 1.5, seed=seed).layers, np.empty(spec.n_layers))
     sq /= draws
     np.testing.assert_allclose(sq, 1.5**2 * np.ones_like(sq), rtol=0.15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cnn=st.booleans(),
+    kappa=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_init_gaussian_matches_numpy_reference_bitwise(cnn, kappa, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_cnn_spec(rng) if cnn else random_fnn_spec(rng)
+    got = init_gaussian(spec, kappa, seed).layers
+    want = init_gaussian_reference(spec, kappa, seed)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert spec.layer_sizes() == [int(np.prod(s)) for s in spec.layer_shapes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cnn=st.booleans(),
+    scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_match_linalg_norm_bitwise(cnn, scale, fortran, seed):
+    rng = np.random.default_rng(seed)
+    spec = random_cnn_spec(rng) if cnn else random_fnn_spec(rng)
+    layers = [w * scale for w in init_gaussian(spec, 1.0, rng).layers]
+    if fortran:  # np.linalg.norm sums a Fortran-ordered layer in memory order
+        layers = [np.asfortranarray(w) for w in layers]
+    params = Parameters(spec, layers)
+    want = np.array([np.linalg.norm(w) for w in layers])
+    assert params.norms().tobytes() == want.tobytes()
 
 
 def test_init_deterministic():
@@ -339,4 +380,5 @@ def test_parameter_shape_validation():
 def test_add_scaled_and_norms():
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
     params = init_gaussian(spec, 1.0, seed=1)
-    np.testing.assert_allclose(params.sq_norms(), params.norms() ** 2, atol=1e-14)
+    sq = _sq_norms(params.layers, np.empty(spec.n_layers))
+    np.testing.assert_allclose(sq, params.norms() ** 2, atol=1e-14)
