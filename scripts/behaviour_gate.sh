@@ -11,15 +11,17 @@
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), and verify --seed 2 on rademacher, init-concentration,
 # rademacher (the order of the outcomes when init-concentration runs on its
-# own thread and a suite repeats).  Five more configs are
+# own thread and a suite repeats).  Six more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
 # with loss_power 4, label noise and a test set (train and bound); a
 # two-seed CNN SGLD run (train); a GD run that diverges at step 3 (train
-# and bound, both exit 1); and a two-seed width sweep over JSON integers
-# (sweep), whose directory names and sweep.csv value column spell each
-# value as the JSON does.
+# and bound, both exit 1); an SGD run whose minibatches are drawn four
+# steps at a time and that diverges at step 6, inside its second block
+# (train and bound, both exit 1); and a two-seed width sweep over JSON
+# integers (sweep), whose directory names and sweep.csv value column spell
+# each value as the JSON does.
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
@@ -78,6 +80,15 @@ EOF
   "seeds": [0]
 }
 EOF
+    cat >"$1/sgd_diverge.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [16], "output_width": 16, "norm_exponent": 0.0},
+  "train": {"algorithm": "SGD", "eta": 14.0, "t0": 50, "batch": 512, "total_steps": 50, "kappa": 2.0},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 128, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0]
+}
+EOF
     cat >"$1/width_sweep.json" <<'EOF'
 {
   "network": {"input_dim": 3, "fc_widths": [4, 4], "output_width": 4, "norm_exponent": 0.5},
@@ -122,10 +133,10 @@ run_side() {  # run_side TREE OUTDIR
         gb bound_toy bound --config configs/toy_regression.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
-        for stem in gf_power4 sgd_power4 cnn_sgld gd_diverge; do
+        for stem in gf_power4 sgd_power4 cnn_sgld gd_diverge sgd_diverge; do
             gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"
         done
-        for stem in gf_power4 sgd_power4 gd_diverge; do
+        for stem in gf_power4 sgd_power4 gd_diverge sgd_diverge; do
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done

@@ -22,7 +22,6 @@ from .data import (
     REGRESSION_C_Y,
     Dataset,
     inject_label_noise,
-    load_csv,
     load_idx,
     save_csv,
     split,
@@ -77,7 +76,6 @@ __all__ = [
     "grad_f",
     "init_gaussian",
     "inject_label_noise",
-    "load_csv",
     "load_idx",
     "loss_and_grad",
     "lr_schedule",

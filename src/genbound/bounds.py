@@ -50,13 +50,22 @@ def psi(ln, c_y: float, loss_power: int = 2):
     with max c_y^2/4 at ln = c_y^2/8; for the power-a loss |f-y|^a/a it is
     (a ln)^((a-1)/a) (c_y - (a ln)^(1/a)).  Accepts scalars or arrays;
     losses must be nonnegative.  The value is negative once ln > c_y^2/2
-    (at a = 2), and callers accumulate it signed.
+    (at a = 2), and callers accumulate it signed.  A Python float stays in
+    float arithmetic, whose sqrt and pow give the bits of the array path.
     """
     if not (0.0 < c_y <= 1.0):
         raise ValueError("c_y must lie in (0, 1]")
     a = int(loss_power)
     if a < 2 or a != loss_power:
         raise ValueError("loss_power must be an integer >= 2")
+    if type(ln) is float:
+        if ln < 0.0:
+            raise ValueError("loss must be nonnegative")
+        if a == 2:
+            root = math.sqrt(2.0 * ln)
+            return root * (c_y - root)
+        root = (a * ln) ** (1.0 / a)
+        return root ** (a - 1) * (c_y - root)
     ln_arr = np.asarray(ln, dtype=float)
     if (ln_arr < 0).any():
         raise ValueError("loss must be nonnegative")

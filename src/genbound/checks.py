@@ -22,9 +22,9 @@ from .network import (
     Parameters,
     _loss_grad_outputs,
     _norm,
+    _value_grad,
     batch_outputs,
     forward,
-    grad_f,
     init_gaussian,
 )
 from .training import TrainConfig, Trajectory, estimate_c_f, max_feasible_eta, train
@@ -135,8 +135,7 @@ def check_homogeneity(
         rng = _rng(seed, i)
         params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = random_ball_points(rng, 1, spec.input_dim)[0]
-        f = forward(params, x).f
-        grads = grad_f(params, x)
+        f, grads = _value_grad(params, x)
         if grad_perturb:
             grads[0].ravel()[0] += grad_perturb
         total = 0.0
@@ -163,8 +162,7 @@ def check_value_grad_bounds(spec: NetworkSpec, trials: int, seed: int) -> CheckO
         params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = random_ball_points(rng, 1, spec.input_dim)[0]
         xn = _norm(x)
-        f = forward(params, x).f
-        grads = grad_f(params, x)
+        f, grads = _value_grad(params, x)
         norms = params.norms()
         total = float(np.sqrt(np.sum(norms**2)))
         scale = spec.out_scale

@@ -24,7 +24,6 @@ __all__ = [
     "inject_label_noise",
     "split",
     "save_csv",
-    "load_csv",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -204,14 +203,3 @@ def save_csv(ds: Dataset, path) -> None:
         for xi, yi in zip(ds.inputs, ds.targets):
             fh.write(",".join([repr(float(v)) for v in xi] + [repr(float(yi))]) + "\n")
 
-
-def load_csv(path) -> Dataset:
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# c_y="):
-            raise ValueError(f"{path}: missing dataset metadata line")
-        fields = dict(part.split("=", 1) for part in meta[2:].split(" "))
-        fh.readline()  # header
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    arr = np.array(rows)
-    return Dataset(arr[:, :-1], arr[:, -1], float(fields["c_y"]), fields["split"])

@@ -342,15 +342,19 @@ def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = No
     return f
 
 
-def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:
-    """Gradient of the scalar output with respect to each layer."""
+def _value_grad(params: Parameters, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Scalar output at one input and its gradient per layer, from one forward pass."""
     spec = params.spec
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.input_dim,):
         raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
-    X = _check_inputs(spec, x[None, :])
-    _, zs, pres = _forward_batch(params, X)
-    return _backward_batch(params, zs, pres, np.ones(1))
+    f, zs, pres = _forward_batch(params, _check_inputs(spec, x[None, :]))
+    return float(f[0]), _backward_batch(params, zs, pres, np.ones(1))
+
+
+def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:
+    """Gradient of the scalar output with respect to each layer."""
+    return _value_grad(params, x)[1]
 
 
 def _power_loss(res: np.ndarray, loss_power: int) -> float:

@@ -10,6 +10,7 @@ norm-growth guarantee supports.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ ALGORITHMS = ("GF", "GD", "SGD", "SGLD")
 
 # Abort threshold for the divergence guard.
 _LOSS_CAP = 1e6
+
+# Doubles of inputs and targets gathered per block of SGD minibatches (64 KiB).
+_BATCH_BLOCK = 1 << 13
 
 
 @dataclass
@@ -170,27 +174,47 @@ def lr_schedule(t: int, eta: float, alpha: float, t0: int) -> float:
 
 
 def _update(
-    params: Parameters, grads, eta_t: float, config: TrainConfig, dataset, rng, workspace=None
+    params: Parameters,
+    grads,
+    eta_t: float,
+    config: TrainConfig,
+    rng,
+    minibatch=None,
+    workspace=None,
 ):
     """One step of config.algorithm; returns (new params, gradient the step used).
 
     GD and GF move along the full-data gradient `grads`.  SGD ignores it and
-    moves along the gradient of a minibatch drawn from rng, computed in
-    `workspace`; SGLD adds N(0, 2*eta_t/beta) noise from rng to the GD step
-    (none at beta = inf).  The result skips the entry scan of `Parameters`:
-    `train` checks the logged layer norms instead, so an overflow ends as a
-    divergence.
+    moves along the gradient of `minibatch`, the step's (inputs, targets),
+    computed in `workspace`; `train` draws the minibatches with
+    `_minibatches`.  SGLD adds N(0, 2*eta_t/beta) noise from rng to the GD
+    step (none at beta = inf).  The result skips the entry scan of
+    `Parameters`: `train` checks the logged layer norms instead, so an
+    overflow ends as a divergence.
     """
     if config.algorithm == "SGD":
-        idx = rng.integers(0, dataset.n, size=config.batch)
-        _, grads, _ = _loss_grad_outputs(
-            params, dataset.inputs[idx], dataset.targets[idx], config.loss_power, workspace
-        )
+        _, grads, _ = _loss_grad_outputs(params, *minibatch, config.loss_power, workspace)
     layers = [w - eta_t * g for w, g in zip(params.layers, grads)]
     if config.algorithm == "SGLD" and config.beta != math.inf:
         scale = math.sqrt(2.0 * eta_t / config.beta)
         layers = [w + rng.normal(0.0, scale, size=w.shape) for w in layers]
     return Parameters._unchecked(params.spec, layers), grads
+
+
+def _minibatches(dataset, batch: int, steps: int, rng):
+    """Yields the (inputs, targets) of `steps` SGD minibatches of `batch` indices from rng.
+
+    A block of steps is drawn and gathered at once, each step a row view of
+    it.  The indices, and rng's state after each block, are those of one
+    `rng.integers(0, n, size=batch)` per step: numpy fills the block from
+    the same 32-bit outputs in the same order.
+    """
+    rows = max(1, _BATCH_BLOCK // (batch * (dataset.dim + 1)))
+    for start in range(0, steps, rows):
+        idx = rng.integers(0, dataset.n, size=(min(rows, steps - start), batch))
+        X, y = dataset.inputs[idx], dataset.targets[idx]
+        for r in range(idx.shape[0]):
+            yield X[r], y[r]
 
 
 def _batch_loss(params, ds, loss_power, workspace) -> tuple[float, np.ndarray]:
@@ -294,6 +318,10 @@ def train(
     # SGD minibatches and SGLD noise each have their own seed stream
     stream = 17 if config.algorithm == "SGD" else 29
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), stream]))
+    if config.algorithm == "SGD":
+        batches = _minibatches(dataset, config.batch, n_steps, rng)
+    else:
+        batches = itertools.repeat(None)
     # row t of each column is written in place; gradsq has a row per transition
     steps = np.arange(n_steps + 1)
     times = steps * h
@@ -355,6 +383,6 @@ def train(
             raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
         if t == n_steps:
             break
-        params, grads = _update(params, grads, eta_t, config, dataset, rng, ws_batch)
+        params, grads = _update(params, grads, eta_t, config, rng, next(batches), ws_batch)
         _sq_norms(grads, gradsq[t])
     return trajectory(n_steps + 1)

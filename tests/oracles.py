@@ -7,8 +7,11 @@ agreement between the two routes actually means something.
 
 import numpy as np
 
+from genbound.bounds import psi
 from genbound.checks import random_ball_points
-from genbound.network import forward
+from genbound.data import Dataset
+from genbound.network import Parameters, forward, init_gaussian, loss_and_grad
+from genbound.training import lr_schedule
 
 
 def conv_matrix(kernel: np.ndarray, m_in: int) -> np.ndarray:
@@ -129,6 +132,33 @@ def cl_resum(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def sgd_per_step(spec, ds, test_ds, config):
+    """An SGD run drawing each step's minibatch with its own `rng.integers(0, n, size=batch)`.
+
+    Returns the logged columns by name (cl by `cl_resum`) and the final layers.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 17]))
+    params = init_gaussian(spec, config.kappa, config.seed)
+    cols = {name: [] for name in ("eta", "ln_train", "ln_test", "psi", "normsq", "gradsq")}
+    for t in range(config.total_steps + 1):
+        ln, _ = loss_and_grad(params, ds.inputs, ds.targets, config.loss_power)
+        cols["eta"].append(lr_schedule(t, config.eta, config.alpha, config.t0))
+        cols["ln_train"].append(ln)
+        ln_test, _ = loss_and_grad(params, test_ds.inputs, test_ds.targets, config.loss_power)
+        cols["ln_test"].append(ln_test)
+        cols["psi"].append(psi(ln, ds.c_y, config.loss_power))
+        cols["normsq"].append([float(np.sum(w * w)) for w in params.layers])
+        if t == config.total_steps:
+            break
+        idx = rng.integers(0, ds.n, size=config.batch)
+        _, grads = loss_and_grad(params, ds.inputs[idx], ds.targets[idx], config.loss_power)
+        cols["gradsq"].append([float(np.sum(g * g)) for g in grads])
+        params = Parameters(spec, [w - cols["eta"][-1] * g for w, g in zip(params.layers, grads)])
+    out = {name: np.array(col) for name, col in cols.items()}
+    out["cl"] = cl_resum(out["eta"], out["psi"])
+    return out, params.layers
+
+
 def cl_trapezoid(times, psi) -> np.ndarray:
     """Trapezoid integrals of 2*psi dt from times[0] to each times[t]."""
     out = [0.0]
@@ -200,3 +230,16 @@ def psi_reference(ln: float, c_y: float) -> float:
 def power_integrand_reference(ln: float, c_y: float, alpha: int) -> float:
     base = alpha * ln
     return float(base ** ((alpha - 1) / alpha) * (c_y - base ** (1.0 / alpha)))
+
+
+def load_csv(path) -> Dataset:
+    """Reads back a dataset written by `genbound.data.save_csv`."""
+    with open(path) as fh:
+        meta = fh.readline().strip()
+        if not meta.startswith("# c_y="):
+            raise ValueError(f"{path}: missing dataset metadata line")
+        fields = dict(part.split("=", 1) for part in meta[2:].split(" "))
+        fh.readline()  # header
+        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+    arr = np.array(rows)
+    return Dataset(arr[:, :-1], arr[:, -1], float(fields["c_y"]), fields["split"])

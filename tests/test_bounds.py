@@ -75,6 +75,24 @@ def test_psi_validation():
         psi(0.1, 1.5)
 
 
+@pytest.mark.parametrize("loss_power", [2, 3, 4, 5, 6])
+def test_psi_of_float_equals_array_path(loss_power):
+    # a Python float takes math.sqrt and float **; a 0-d array takes numpy
+    rng = np.random.default_rng(loss_power)
+    losses = [*rng.exponential(0.2, 2000), *(10.0 ** rng.uniform(-30, 30, 200)), 0.0, math.inf]
+    for ln in map(float, losses):
+        got = psi(ln, 0.6, loss_power)
+        assert type(got) is float
+        want = psi(np.array(ln), 0.6, loss_power)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), ln
+    assert psi(math.inf, 0.6, loss_power) == -math.inf
+    assert math.isnan(psi(math.nan, 0.6, loss_power))
+    assert math.isnan(psi(np.array(math.nan), 0.6, loss_power))
+    for bad in (-1e-300, np.array(-1e-300)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            psi(bad, 0.6, loss_power)
+
+
 def test_power_integrand_reduces_to_psi():
     grid = np.linspace(0.0, 0.6, 400)
     np.testing.assert_allclose(

@@ -9,7 +9,6 @@ from genbound.data import (
     REGRESSION_C_Y,
     Dataset,
     inject_label_noise,
-    load_csv,
     load_idx,
     save_csv,
     split,
@@ -18,6 +17,8 @@ from genbound.data import (
     target_fn,
     write_idx,
 )
+
+from oracles import load_csv
 
 _SCALE = 1.25 + math.pi**2 / 4
 

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from genbound import training
 from genbound.bounds import psi
 from genbound.data import Dataset, synth_regression
 from genbound.network import NetworkSpec, Parameters, init_gaussian, loss_and_grad
 from genbound.training import (
     DivergenceError,
     TrainConfig,
+    _minibatches,
     _update,
     estimate_c_f,
     lr_schedule,
@@ -18,7 +20,7 @@ from genbound.training import (
     train,
 )
 
-from oracles import cl_resum, gf_closed_form_loss
+from oracles import cl_resum, gf_closed_form_loss, sgd_per_step
 
 
 def _width_one_net():
@@ -47,7 +49,7 @@ def test_gd_step_by_hand():
     def step(p, t):
         _, grads = loss_and_grad(p, ds.inputs, ds.targets)
         eta_t = lr_schedule(t, cfg.eta, cfg.alpha, cfg.t0)
-        return _update(p, grads, eta_t, cfg, ds, None)[0]
+        return _update(p, grads, eta_t, cfg, None)[0]
 
     moved = step(params, 0)
     np.testing.assert_allclose(moved.layers[0], [[0.9]], atol=1e-15)
@@ -85,10 +87,10 @@ def test_gf_substep_count_and_times():
 
 
 class _AllIndices:
-    """Stands in for the SGD sample stream: every index once, in order."""
+    """Stands in for the SGD sample stream: every index once, in order, in each row."""
 
     def integers(self, low, high, size):
-        return np.arange(low, high)
+        return np.broadcast_to(np.arange(low, high), size)
 
 
 def test_sgd_full_batch_sampler_equals_gd():
@@ -96,9 +98,10 @@ def test_sgd_full_batch_sampler_equals_gd():
     ds = synth_regression(32, seed=0)
     params = init_gaussian(spec, 1.0, 4)
     _, grads = loss_and_grad(params, ds.inputs, ds.targets)
-    gd, gd_grads = _update(params, grads, 0.05, TrainConfig(algorithm="GD"), ds, None)
+    gd, gd_grads = _update(params, grads, 0.05, TrainConfig(algorithm="GD"), None)
     cfg_sgd = TrainConfig(algorithm="SGD", batch=32)
-    sgd, sgd_grads = _update(params, None, 0.05, cfg_sgd, ds, _AllIndices())
+    minibatch = next(_minibatches(ds, cfg_sgd.batch, 1, _AllIndices()))
+    sgd, sgd_grads = _update(params, None, 0.05, cfg_sgd, None, minibatch)
     for a, b in zip(gd.layers + gd_grads, sgd.layers + sgd_grads):
         np.testing.assert_array_equal(a, b)
     # on a one-point dataset every draw is the full batch, so the whole
@@ -130,10 +133,10 @@ def test_sgld_noise_scale():
     beta, eta = 4.0, 0.1
     cfg = TrainConfig(algorithm="SGLD", eta=eta, beta=beta)
     _, grads = loss_and_grad(params, ds.inputs, ds.targets)
-    clean, _ = _update(params, grads, eta, TrainConfig(algorithm="GD"), ds, None)
+    clean, _ = _update(params, grads, eta, TrainConfig(algorithm="GD"), None)
     rng = np.random.default_rng(1000)
     draws = np.array(
-        [_update(params, grads, eta, cfg, ds, rng)[0].layers[1][0] for _ in range(4000)]
+        [_update(params, grads, eta, cfg, rng)[0].layers[1][0] for _ in range(4000)]
     ) - clean.layers[1][0]
     want_var = 2.0 * eta / beta
     assert abs(np.var(draws) - want_var) < 0.1 * want_var
@@ -155,6 +158,52 @@ def test_sgd_draws_minibatch_from_sample_stream():
     np.testing.assert_array_equal(traj.gradsq[0], [float(np.sum(g * g)) for g in grads])
     for got, w, g in zip(traj.final_params.layers, params0.layers, grads):
         np.testing.assert_array_equal(got, w - 0.01 * g)
+
+
+@pytest.mark.parametrize("n, batch", [(512, 64), (128, 1), (7, 3), (1, 4)])
+@pytest.mark.parametrize("block", [8, 40, 1 << 13])
+def test_minibatch_blocks_are_per_step_draws(monkeypatch, n, batch, block):
+    # a block of rows holds the indices one draw per step gives, and leaves
+    # the stream where those draws leave it, on partial blocks too
+    monkeypatch.setattr(training, "_BATCH_BLOCK", block)
+    ds = synth_regression(n, seed=1)
+    steps = 11
+    got = np.random.default_rng(np.random.SeedSequence([5, 17]))
+    want = np.random.default_rng(np.random.SeedSequence([5, 17]))
+    batches = list(_minibatches(ds, batch, steps, got))
+    assert len(batches) == steps
+    for X, y in batches:
+        idx = want.integers(0, n, size=batch)
+        np.testing.assert_array_equal(X, ds.inputs[idx])
+        np.testing.assert_array_equal(y, ds.targets[idx])
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("loss_power", [2, 4])
+@pytest.mark.parametrize(
+    "n, batch, steps",
+    [
+        (32, 4, 10),  # blocks of 3 rows: 3 + 3 + 3 + 1
+        (32, 16, 5),  # batch*(d+1) = 64 exceeds the block: one row per block
+        (1, 3, 7),  # every draw is index 0
+    ],
+)
+def test_sgd_train_equals_per_step_draws(monkeypatch, n, batch, steps, loss_power):
+    monkeypatch.setattr(training, "_BATCH_BLOCK", 48)
+    spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8, 8), output_width=8, norm_exponent=0.5)
+    ds = synth_regression(n, seed=2)
+    test = synth_regression(8, seed=3, split="test")
+    config = TrainConfig(
+        algorithm="SGD", eta=0.05, batch=batch, total_steps=steps, seed=6, loss_power=loss_power
+    )
+    traj = train(spec, ds, config, test_dataset=test)
+    want, layers = sgd_per_step(spec, ds, test, config)
+    np.testing.assert_array_equal(traj.steps, np.arange(steps + 1))
+    np.testing.assert_array_equal(traj.times, np.arange(steps + 1))
+    for name, col in want.items():
+        np.testing.assert_array_equal(getattr(traj, name), col, err_msg=name)
+    for got, w in zip(traj.final_params.layers, layers):
+        np.testing.assert_array_equal(got, w)
 
 
 def test_cl_column_is_exclusive_prefix():
