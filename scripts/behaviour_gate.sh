@@ -11,7 +11,9 @@
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), and verify --seed 2 on rademacher, init-concentration,
 # rademacher (the order of the outcomes when init-concentration runs on its
-# own thread and a suite repeats).  Six more configs are
+# own thread and a suite repeats), and verify --seed 0 --inject-bug, the
+# one run of the perturbed homogeneity suite, which must exit 1 on the
+# working tree.  Six more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -145,6 +147,7 @@ run_side() {  # run_side TREE OUTDIR
         gb verify3 verify --seed 3 --out verify3.json
         gb verify_order verify --suite rademacher --suite init-concentration \
             --suite rademacher --seed 2 --out verify_order.json
+        gb verify_bug verify --seed 0 --inject-bug --out verify_bug.json
     )
 }
 
@@ -156,6 +159,10 @@ run_side "$repo" "$tmp/work"
 for f in "$tmp"/work/*.exit; do
     echo "$(basename "$f" .exit): exit $(cat "$f")"
 done
+if [ "$(cat "$tmp/work/verify_bug.exit")" != 1 ]; then
+    echo "behaviour gate: verify --inject-bug did not exit 1" >&2
+    exit 1
+fi
 if diff -r "$tmp/base" "$tmp/work"; then
     echo "behaviour gate: no difference"
 else

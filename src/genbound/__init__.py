@@ -10,7 +10,6 @@ self-checks for every identity the bound assembly relies on.
 from .bounds import (
     LAMBDA_MAX,
     BoundReport,
-    SgldBoundInputs,
     assemble_bound,
     bound_series,
     psi,
@@ -31,11 +30,9 @@ from .data import (
     write_idx,
 )
 from .network import (
-    ForwardTrace,
     NetworkSpec,
     Parameters,
     batch_outputs,
-    forward,
     grad_f,
     init_gaussian,
     loss_and_grad,
@@ -59,20 +56,17 @@ __all__ = [
     "CheckOutcome",
     "Dataset",
     "DivergenceError",
-    "ForwardTrace",
     "LAMBDA_MAX",
     "NetworkSpec",
     "Parameters",
     "REGRESSION_C_Y",
     "SUITE_NAMES",
-    "SgldBoundInputs",
     "TrainConfig",
     "Trajectory",
     "assemble_bound",
     "batch_outputs",
     "bound_series",
     "estimate_c_f",
-    "forward",
     "grad_f",
     "init_gaussian",
     "inject_label_noise",

@@ -34,7 +34,6 @@ __all__ = [
     "BoundReport",
     "assemble_bound",
     "bound_series",
-    "SgldBoundInputs",
     "sgld_bound",
 ]
 
@@ -178,7 +177,7 @@ def assemble_bound(
     theorem, rho, factor = _theorem(traj.algorithm, rho)
     n = traj.n_train
     cl_value = float(traj.cl[-1])
-    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
+    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
     complexity = float(_complexity(spec, v, cl_value, n, factor))
     confidence = math.sqrt(math.log(1.0 / delta) / n)
     bound_seed_mean = None
@@ -197,7 +196,7 @@ def assemble_bound(
         lam=lam,
         delta=delta,
         rho=rho,
-        init_sq_norms=[float(x) for x in traj.init_sq_norms],
+        init_sq_norms=[float(x) for x in traj.normsq[0]],
         v=[float(x) for x in v],
         cl=cl_value,
         cl_clamped=cl_value < 0.0,
@@ -217,42 +216,27 @@ def bound_series(
 ) -> np.ndarray:
     """Bound value at every logged step, using the CL prefix up to it."""
     _, _, factor = _theorem(traj.algorithm, rho)
-    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.init_sq_norms, dtype=float)
+    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
     confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
     return _complexity(traj.spec, v, traj.cl, traj.n_train, factor) + confidence
 
 
-@dataclass
-class SgldBoundInputs:
-    """Inputs of the information-theoretic SGLD bound.
+def sgld_bound(loss_bound: float, lip: float, beta: float, n: int, eta_sum: float) -> float:
+    """M Lip sqrt(beta/(8n) sum eta_t), the information-theoretic SGLD bound.
 
     loss_bound M caps the per-sample loss, lip is its Lipschitz constant in
-    the parameters, eta_sum is the sum of the step sizes.
+    the parameters, eta_sum is the sum of the step sizes.  beta = inf (the
+    noiseless limit) returns inf: the information bound carries no content
+    for deterministic dynamics.
     """
-
-    loss_bound: float
-    lip: float
-    beta: float
-    n: int
-    eta_sum: float
-
-
-def sgld_bound(inputs: SgldBoundInputs) -> float:
-    """M Lip sqrt(beta/(8n) sum eta_t).
-
-    beta = inf (the noiseless limit) returns inf: the information bound
-    carries no content for deterministic dynamics.
-    """
-    if inputs.loss_bound <= 0 or inputs.lip <= 0:
+    if loss_bound <= 0 or lip <= 0:
         raise ValueError("loss_bound and lip must be positive")
-    if inputs.n < 1:
+    if n < 1:
         raise ValueError("n must be positive")
-    if inputs.beta != math.inf and inputs.beta <= 0:
+    if beta != math.inf and beta <= 0:
         raise ValueError("beta must be positive or inf")
-    if inputs.beta == math.inf:
+    if beta == math.inf:
         return math.inf
-    if inputs.eta_sum < 0:
+    if eta_sum < 0:
         raise ValueError("eta_sum must be nonnegative")
-    return inputs.loss_bound * inputs.lip * math.sqrt(
-        inputs.beta / (8.0 * inputs.n) * inputs.eta_sum
-    )
+    return loss_bound * lip * math.sqrt(beta / (8.0 * n) * eta_sum)

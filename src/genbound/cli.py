@@ -309,28 +309,24 @@ def _fmt(v) -> str:
 _CSV_COLUMNS = ["t", "eta_t", "Ln_train", "Ln_test", "psi", "CL"]
 
 
+def _fmt_col(col: np.ndarray) -> list[str]:
+    """`_fmt` of each entry, formatted a column at a time."""
+    return list(map(repr, np.asarray(col, dtype=float).tolist()))
+
+
 def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> None:
     n_layers = traj.normsq.shape[1]
-    cols = (
-        _CSV_COLUMNS
-        + [f"normsq_{l + 1}" for l in range(n_layers)]
-        + ["bound_prefix"]
-    )
-    t_col = traj.times if traj.algorithm == "GF" else traj.steps
+    header = _CSV_COLUMNS + [f"normsq_{l + 1}" for l in range(n_layers)] + ["bound_prefix"]
+    if traj.algorithm == "GF":
+        t_col = _fmt_col(traj.times)
+    else:
+        t_col = list(map(str, traj.steps.astype(int).tolist()))
+    named = (traj.eta, traj.ln_train, traj.ln_test, traj.psi, traj.cl)
+    cols = [t_col] + [_fmt_col(col) for col in named]
+    cols += [_fmt_col(traj.normsq[:, l]) for l in range(n_layers)] + [_fmt_col(series)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(traj.steps.shape[0]):
-            row = [
-                _fmt(t_col[k]) if traj.algorithm == "GF" else str(int(t_col[k])),
-                _fmt(traj.eta[k]),
-                _fmt(traj.ln_train[k]),
-                _fmt(traj.ln_test[k]),
-                _fmt(traj.psi[k]),
-                _fmt(traj.cl[k]),
-            ]
-            row += [_fmt(traj.normsq[k, l]) for l in range(n_layers)]
-            row.append(_fmt(series[k]))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
         if traj.diverged_at is not None:
             fh.write(f"# diverged at step {traj.diverged_at}\n")
 
@@ -510,7 +506,7 @@ def cmd_compare(args) -> int:
         report, _ = _assemble(config, traj)
         beta = variant.train.beta
         eta_sum = float(np.sum(traj.eta[:-1]))
-        info = bnd.sgld_bound(bnd.SgldBoundInputs(config.loss_bound, config.lip, beta, ds.n, eta_sum))
+        info = bnd.sgld_bound(config.loss_bound, config.lip, beta, ds.n, eta_sum)
         cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info)]
         rows.append(",".join([variant.train.algorithm] + cells) + "\n")
     path = os.path.join(out_dir, "compare.csv")
@@ -606,16 +602,13 @@ def cmd_gen_data(args) -> int:
         data.save_csv(data.synth_regression(args.n, args.seed), args.out)
     elif args.kind == "classification":
         data.save_csv(data.synth_classification(args.n, args.seed), args.out)
-    elif args.kind == "idx-fixture":
+    else:  # idx-fixture, the last of the parser's choices
         rng = np.random.default_rng(args.seed)
         images = rng.integers(0, 256, size=(args.n, 4, 4), dtype=np.uint8, endpoint=False)
         labels = rng.integers(0, 2, size=args.n, dtype=np.uint8)
         data.write_idx(images, labels, args.out + "-images.idx", args.out + "-labels.idx")
         print(f"wrote {args.out}-images.idx and {args.out}-labels.idx")
         return 0
-    else:
-        print(f"error: unknown kind '{args.kind}'", file=sys.stderr)
-        return 2
     print(f"wrote {args.out}")
     return 0
 

@@ -27,9 +27,7 @@ import numpy as np
 __all__ = [
     "NetworkSpec",
     "Parameters",
-    "ForwardTrace",
     "init_gaussian",
-    "forward",
     "batch_outputs",
     "grad_f",
     "loss_and_grad",
@@ -184,24 +182,6 @@ def _sq_norms(arrays, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediates of one forward pass on a single input.
-
-    z[l] is the post-layer activation (z[0] is the input), pre[l-1] the
-    pre-activation of hidden layer l (for conv layers: all conv positions
-    before pooling), f the scalar output.
-    """
-
-    z: list[np.ndarray]
-    pre: list[np.ndarray]
-    f: float
-
-    def kink_margin(self) -> float:
-        """Smallest |pre-activation| across all hidden units."""
-        return min(float(np.min(np.abs(p))) for p in self.pre)
-
-
 def init_gaussian(spec: NetworkSpec, kappa: float, seed: int | np.random.Generator) -> Parameters:
     """Draw each layer from N(0, kappa^2/q(l) I) so E||layer||^2 = kappa^2.
 
@@ -317,16 +297,6 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
             if l > 0:
                 G = np.matmul(G, W.T, out=_buffer(workspace, (l - 1, "G"), Zin.shape))
     return grads
-
-
-def forward(params: Parameters, x: np.ndarray) -> ForwardTrace:
-    """Single-input forward pass that keeps all intermediates."""
-    spec = params.spec
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
-    f, zs, pres = _forward_batch(params, _check_inputs(spec, x[None, :]))
-    return ForwardTrace(z=[row[0] for row in zs], pre=[p[0] for p in pres], f=float(f[0]))
 
 
 def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = None) -> np.ndarray:

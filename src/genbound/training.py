@@ -47,6 +47,9 @@ _LOSS_CAP = 1e6
 # Doubles of inputs and targets gathered per block of SGD minibatches (64 KiB).
 _BATCH_BLOCK = 1 << 13
 
+# Factor on the observed max |f| in `estimate_c_f`.
+_C_F_MARGIN = 1.1
+
 
 @dataclass
 class TrainConfig:
@@ -145,10 +148,6 @@ class Trajectory:
     diverged_at: int | None = None
 
     @property
-    def init_sq_norms(self) -> np.ndarray:
-        return self.normsq[0]
-
-    @property
     def has_test(self) -> bool:
         return bool(np.any(np.isfinite(self.ln_test)))
 
@@ -223,9 +222,9 @@ def _batch_loss(params, ds, loss_power, workspace) -> tuple[float, np.ndarray]:
     return _power_loss(f - ds.targets, loss_power), f
 
 
-def estimate_c_f(params: Parameters, X: np.ndarray, margin: float = 1.1) -> float:
+def estimate_c_f(params: Parameters, X: np.ndarray) -> float:
     """Working output-scale estimate: the observed max |f| times a margin."""
-    return margin * float(np.max(np.abs(batch_outputs(params, X))))
+    return _C_F_MARGIN * float(np.max(np.abs(batch_outputs(params, X))))
 
 
 def max_feasible_eta(

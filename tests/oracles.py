@@ -10,7 +10,7 @@ import numpy as np
 from genbound.bounds import psi
 from genbound.checks import random_ball_points
 from genbound.data import Dataset
-from genbound.network import Parameters, forward, init_gaussian, loss_and_grad
+from genbound.network import Parameters, _forward_batch, batch_outputs, init_gaussian, loss_and_grad
 from genbound.training import lr_schedule
 
 
@@ -71,9 +71,9 @@ def finite_diff_grad(params, x: np.ndarray, h: float) -> list[np.ndarray]:
         for i in range(flat_w.size):
             orig = flat_w[i]
             flat_w[i] = orig + h
-            f_plus = forward(params, x).f
+            f_plus = batch_outputs(params, x[None, :])[0]
             flat_w[i] = orig - h
-            f_minus = forward(params, x).f
+            f_minus = batch_outputs(params, x[None, :])[0]
             flat_w[i] = orig
             flat_g[i] = (f_plus - f_minus) / (2.0 * h)
         grads.append(g)
@@ -81,12 +81,13 @@ def finite_diff_grad(params, x: np.ndarray, h: float) -> list[np.ndarray]:
 
 
 def sample_kink_free(params, rng, margin: float, max_tries: int = 500):
-    """Input in the unit ball whose pre-activations all clear `margin`."""
+    """Input in the unit ball whose pre-activations all clear `margin`, and its smallest |pre|."""
     for _ in range(max_tries):
         x = random_ball_points(rng, 1, params.spec.input_dim)[0]
-        trace = forward(params, x)
-        if trace.kink_margin() >= margin:
-            return x, trace
+        _, _, pres = _forward_batch(params, x[None, :])
+        smallest = min(float(np.min(np.abs(pre))) for pre in pres)
+        if smallest >= margin:
+            return x, smallest
     raise RuntimeError(f"no kink-free input found within {max_tries} tries")
 
 
@@ -120,6 +121,37 @@ def fnn_loss_grad_where(params, X: np.ndarray, y: np.ndarray, loss_power: int):
         grads[l] = zs[l].T @ D
         G = D @ params.layers[l].T
     return loss, grads, f
+
+
+def write_trajectory_csv_per_cell(traj, series, path) -> None:
+    """The trajectory CSV written cell by cell: each entry read by index and formatted alone.
+
+    The exception to the different-style rule: the package's writer before
+    it formatted a column at a time, kept so a comparison can be byte for byte.
+    """
+    n_layers = traj.normsq.shape[1]
+    cols = (
+        ["t", "eta_t", "Ln_train", "Ln_test", "psi", "CL"]
+        + [f"normsq_{l + 1}" for l in range(n_layers)]
+        + ["bound_prefix"]
+    )
+    t_col = traj.times if traj.algorithm == "GF" else traj.steps
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(traj.steps.shape[0]):
+            row = [
+                repr(float(t_col[k])) if traj.algorithm == "GF" else str(int(t_col[k])),
+                repr(float(traj.eta[k])),
+                repr(float(traj.ln_train[k])),
+                repr(float(traj.ln_test[k])),
+                repr(float(traj.psi[k])),
+                repr(float(traj.cl[k])),
+            ]
+            row += [repr(float(traj.normsq[k, l])) for l in range(n_layers)]
+            row.append(repr(float(series[k])))
+            fh.write(",".join(row) + "\n")
+        if traj.diverged_at is not None:
+            fh.write(f"# diverged at step {traj.diverged_at}\n")
 
 
 def cl_resum(eta: np.ndarray, psi: np.ndarray) -> np.ndarray:

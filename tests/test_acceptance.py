@@ -16,7 +16,6 @@ from genbound.bounds import (
     bound_series,
     psi,
     sgld_bound,
-    SgldBoundInputs,
 )
 from genbound.checks import (
     aligned_rank_one_witness,
@@ -211,13 +210,12 @@ def test_criterion_10_noise_comparison_table():
         traj = train(spec, ds, cfg)
         rep = assemble_bound(traj, lam=0.5)
         eta_sum = float(np.sum(traj.eta[:-1]))
-        info_values.append(sgld_bound(SgldBoundInputs(0.25, 1.0, beta, ds.n, eta_sum=eta_sum)))
+        info_values.append(sgld_bound(0.25, 1.0, beta, ds.n, eta_sum=eta_sum))
         cl_bounds.append(rep.bound)
     gd_traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.05, alpha=1.0, t0=50,
                                           total_steps=300, seed=0))
     gd_rep = assemble_bound(gd_traj, lam=0.5)
-    gd_info = sgld_bound(SgldBoundInputs(0.25, 1.0, math.inf, ds.n,
-                                          eta_sum=float(np.sum(gd_traj.eta[:-1]))))
+    gd_info = sgld_bound(0.25, 1.0, math.inf, ds.n, eta_sum=float(np.sum(gd_traj.eta[:-1])))
     increasing = all(a < b for a, b in zip(info_values, info_values[1:]))
     finite_cl = all(map(math.isfinite, cl_bounds + [gd_rep.bound]))
     ok = increasing and gd_info == math.inf and finite_cl

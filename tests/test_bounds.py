@@ -8,7 +8,6 @@ import pytest
 
 from genbound.bounds import (
     LAMBDA_MAX,
-    SgldBoundInputs,
     assemble_bound,
     bound_series,
     psi,
@@ -272,18 +271,22 @@ def test_bound_series_prefix_consistency():
 
 
 def test_sgld_bound_values():
-    assert sgld_bound(SgldBoundInputs(1.0, 1.0, 8.0, 1, eta_sum=1.0)) == pytest.approx(1.0)
-    assert sgld_bound(SgldBoundInputs(1.0, 1.0, math.inf, 4, eta_sum=3.0)) == math.inf
+    assert sgld_bound(1.0, 1.0, 8.0, 1, eta_sum=1.0) == pytest.approx(1.0)
+    assert sgld_bound(1.0, 1.0, math.inf, 4, eta_sum=3.0) == math.inf
     # quadruple n -> halve the bound
-    a = sgld_bound(SgldBoundInputs(2.0, 0.5, 10.0, 4, eta_sum=2.0))
-    b = sgld_bound(SgldBoundInputs(2.0, 0.5, 10.0, 16, eta_sum=2.0))
+    a = sgld_bound(2.0, 0.5, 10.0, 4, eta_sum=2.0)
+    b = sgld_bound(2.0, 0.5, 10.0, 16, eta_sum=2.0)
     assert a == pytest.approx(2.0 * b, rel=1e-12)
 
 
 def test_sgld_bound_validation():
     with pytest.raises(TypeError):
-        sgld_bound(SgldBoundInputs(1.0, 1.0, 8.0, 1))
+        sgld_bound(1.0, 1.0, 8.0, 1)
     with pytest.raises(ValueError):
-        sgld_bound(SgldBoundInputs(-1.0, 1.0, 8.0, 1, eta_sum=1.0))
+        sgld_bound(-1.0, 1.0, 8.0, 1, eta_sum=1.0)
     with pytest.raises(ValueError):
-        sgld_bound(SgldBoundInputs(1.0, 1.0, -2.0, 1, eta_sum=1.0))
+        sgld_bound(1.0, 1.0, -2.0, 1, eta_sum=1.0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sgld_bound(1.0, 1.0, 8.0, 0, eta_sum=1.0)
+    with pytest.raises(ValueError, match="eta_sum"):
+        sgld_bound(1.0, 1.0, 8.0, 1, eta_sum=-1.0)

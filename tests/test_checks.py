@@ -27,7 +27,7 @@ from genbound.checks import (
     run_suites,
 )
 from genbound.data import Dataset, synth_regression
-from genbound.network import NetworkSpec, forward, init_gaussian
+from genbound.network import NetworkSpec, init_gaussian
 from genbound.training import TrainConfig, train
 
 from oracles import (
@@ -97,9 +97,12 @@ def test_sample_kink_free_margin():
     rng = np.random.default_rng(2)
     spec = NetworkSpec(4, (), (6, 5), 5, 0.5)
     params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
-    x, trace = sample_kink_free(params, rng, margin=1e-3)
-    assert trace.kink_margin() >= 1e-3
-    assert forward(params, x).kink_margin() >= 1e-3
+    x, smallest = sample_kink_free(params, rng, margin=1e-3)
+    assert smallest >= 1e-3
+    # the pre-activations again, by explicit products
+    pre1 = x @ params.layers[0]
+    pre2 = np.maximum(pre1, 0.0) @ params.layers[1]
+    np.testing.assert_allclose(min(np.min(np.abs(pre1)), np.min(np.abs(pre2))), smallest, rtol=1e-12)
 
 
 def test_finite_diff_restores_parameters():
@@ -342,12 +345,12 @@ def test_run_suites_overlap_matches_sequential_calls(names):
     # init-concentration runs on its own thread; the pooled outcomes keep
     # the bytes and the order of calling each suite in turn
     got = [o.to_dict() for o in run_suites(names, seed=1)]
-    want = [o.to_dict() for name in names for o in checks.SUITES[name](1, False)]
+    want = [o.to_dict() for name in names for o in checks.SUITES[name](1)]
     assert json.dumps(got).encode() == json.dumps(want).encode()
 
 
 def _stub(name, threads, error=None, delay=0.0):
-    def suite(seed, inject_bug):  # records (name, ran on the main thread) when it ends
+    def suite(seed, inject_bug=False):  # records (name, ran on the main thread) when it ends
         time.sleep(delay)
         threads.append((name, threading.current_thread() is threading.main_thread()))
         if error is not None:
@@ -428,5 +431,12 @@ def test_all_suites_pass():
 
 
 def test_inject_bug_flips_homogeneity():
-    outcomes = run_suites(["homogeneity"], seed=0, inject_bug=True)
-    assert all(not o.passed for o in outcomes)
+    # the flag reaches the homogeneity suite alone: every other outcome keeps its bytes
+    clean = run_suites(SUITE_NAMES, seed=0)
+    buggy = run_suites(SUITE_NAMES, seed=0, inject_bug=True)
+    assert [o.name for o in buggy] == [o.name for o in clean]
+    failed = [o.name for o in buggy if not o.passed]
+    assert failed == ["homogeneity-fnn", "homogeneity-cnn"]
+    for want, got in zip(clean, buggy):
+        if got.name not in failed:
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), got.name

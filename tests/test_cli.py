@@ -11,6 +11,8 @@ import pytest
 
 from genbound import cli
 
+from oracles import write_trajectory_csv_per_cell
+
 
 def _base_config(**overrides):
     doc = {
@@ -248,6 +250,32 @@ def test_diverged_run_flags_train_and_bound(tmp_path, capsys, train_section):
     assert code == 1
     assert f"trajectory diverged at step {step}" in capsys.readouterr().err
     assert json.loads(report_path.read_text())["cl"] == json.loads((out / "report.json").read_text())["cl"]
+
+
+@pytest.mark.parametrize(
+    "train_section, n_test",
+    [
+        ({"algorithm": "GD", "eta": 0.05, "total_steps": 25}, 24),
+        ({"algorithm": "GF", "eta": 0.1, "duration": 0.05, "gf_substep": 0.005}, 24),
+        ({"algorithm": "SGD", "eta": 0.05, "batch": 8, "total_steps": 25}, 0),
+        # 2*eta overflows: the run diverges at step 1 with infinite norms
+        ({"algorithm": "SGLD", "eta": 1e308, "beta": 10.0, "total_steps": 50, "kappa": 4.0}, 0),
+    ],
+    ids=["GD", "GF", "SGD-no-test-set", "SGLD-diverged"],
+)
+def test_trajectory_csv_matches_per_cell_writer(tmp_path, train_section, n_test):
+    config = cli.load_config(_write(tmp_path, _base_config(train=train_section, data={"n_test": n_test})))
+    ds, ds_test = cli.build_datasets(config)
+    with np.errstate(all="ignore"):
+        result = cli.run_one(config, ds, ds_test, 0)
+        _, series = cli._assemble(config, result.trajectory)
+    cli.write_trajectory_csv(result.trajectory, series, str(tmp_path / "by_column.csv"))
+    write_trajectory_csv_per_cell(result.trajectory, series, str(tmp_path / "by_cell.csv"))
+    got = _read_bytes(tmp_path / "by_column.csv")
+    assert got == _read_bytes(tmp_path / "by_cell.csv")
+    assert (b",nan," in got) == (n_test == 0)
+    assert result.diverged == (train_section["algorithm"] == "SGLD")
+    assert got.endswith(b"# diverged at step 1\n") == result.diverged
 
 
 def _fc_network(widths):

@@ -10,10 +10,11 @@ from genbound.network import (
     NetworkSpec,
     Parameters,
     _backward_batch,
+    _forward_batch,
     _loss_grad_outputs,
     _sq_norms,
+    _value_grad,
     batch_outputs,
-    forward,
     grad_f,
     init_gaussian,
     loss_and_grad,
@@ -68,7 +69,7 @@ def test_forward_matches_dense_oracle_fnn():
         params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
-        got = forward(params, x).f
+        got = _value_grad(params, x)[0]
         want = dense_forward(params, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, abs(want)))
 
@@ -80,7 +81,7 @@ def test_forward_matches_dense_oracle_cnn():
         params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
-        got = forward(params, x).f
+        got = _value_grad(params, x)[0]
         want = dense_forward(params, x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, abs(want)))
 
@@ -92,7 +93,7 @@ def test_batch_outputs_matches_single_forward():
     X = rng.normal(size=(7, 11))
     X /= np.maximum(1.0, np.linalg.norm(X, axis=1))[:, None]
     batch = batch_outputs(params, X)
-    single = np.array([forward(params, x).f for x in X])
+    single = np.array([_value_grad(params, x)[0] for x in X])
     np.testing.assert_allclose(batch, single, atol=1e-14)
 
 
@@ -121,10 +122,10 @@ def test_positive_homogeneity_single_layer():
     params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     x = rng.normal(size=4)
     x /= np.linalg.norm(x) * 1.3
-    f0 = forward(params, x).f
+    f0 = batch_outputs(params, x[None, :])[0]
     for l in range(spec.n_layers):
         scaled = Parameters(spec, [2.5 * w if i == l else w for i, w in enumerate(params.layers)])
-        np.testing.assert_allclose(forward(scaled, x).f, 2.5 * f0, rtol=1e-12)
+        np.testing.assert_allclose(batch_outputs(scaled, x[None, :])[0], 2.5 * f0, rtol=1e-12)
 
 
 def test_positive_homogeneity_all_layers():
@@ -133,10 +134,10 @@ def test_positive_homogeneity_all_layers():
     params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
     x = rng.normal(size=11)
     x /= np.linalg.norm(x) * 1.2
-    f0 = forward(params, x).f
+    f0 = batch_outputs(params, x[None, :])[0]
     c = 1.7
     scaled = Parameters(spec, [c * layer for layer in params.layers])
-    np.testing.assert_allclose(forward(scaled, x).f, c ** spec.n_layers * f0, rtol=1e-12)
+    np.testing.assert_allclose(batch_outputs(scaled, x[None, :])[0], c ** spec.n_layers * f0, rtol=1e-12)
 
 
 def test_euler_identity_layerwise():
@@ -147,8 +148,7 @@ def test_euler_identity_layerwise():
         params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
         x = rng.normal(size=spec.input_dim)
         x /= max(1.0, np.linalg.norm(x))
-        f = forward(params, x).f
-        grads = grad_f(params, x)
+        f, grads = _value_grad(params, x)
         for layer, g in zip(params.layers, grads):
             np.testing.assert_allclose(float(np.sum(layer * g)), f, atol=1e-11 * max(1.0, abs(f)))
 
@@ -251,7 +251,7 @@ def test_mask_from_activations_matches_where_at_kinks(nonfinite):
     # pass without a workspace keep their negative entries
     assert not [key for key in workspace if key[1] == "pre"]
     if not nonfinite:
-        assert (forward(params, _KINK_X[0]).pre[0] < 0.0).any()
+        assert (_forward_batch(params, _KINK_X[:1])[2][0] < 0.0).any()
 
 
 def test_mask_from_activations_at_negative_zero():
@@ -364,8 +364,11 @@ def test_loss_power_four_matches_definition():
 def test_input_norm_warning():
     spec = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(4,), output_width=4, norm_exponent=0.5)
     params = init_gaussian(spec, 1.0, seed=0)
-    with pytest.warns(UserWarning):
-        forward(params, np.array([2.0, 0.0, 0.0]))
+    x = np.array([2.0, 0.0, 0.0])
+    with pytest.warns(UserWarning, match="input norm 2 exceeds 1"):
+        batch_outputs(params, x[None, :])
+    with pytest.warns(UserWarning, match="input norm 2 exceeds 1"):
+        grad_f(params, x)
 
 
 def test_parameter_shape_validation():
