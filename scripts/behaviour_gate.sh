@@ -13,7 +13,8 @@
 # rademacher (the order of the outcomes when init-concentration runs on its
 # own thread and a suite repeats), and verify --seed 0 --inject-bug, the
 # one run of the perturbed homogeneity suite, which must exit 1 on the
-# working tree.  Six more configs are
+# working tree; and train --seed 5 on the toy config, the one run whose
+# seed list the command line replaces.  Eight more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -23,7 +24,10 @@
 # steps at a time and that diverges at step 6, inside its second block
 # (train and bound, both exit 1); and a two-seed width sweep over JSON
 # integers (sweep), whose directory names and sweep.csv value column spell
-# each value as the JSON does.
+# each value as the JSON does; a two-seed lr sweep over a base config with
+# "eta": "auto" (sweep), whose values replace the resolved rate; and a
+# two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
+# (train), the one data section that is loaded and split.
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
@@ -101,6 +105,26 @@ EOF
   "seeds": [0, 1]
 }
 EOF
+    cat >"$1/lr_sweep.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
+  "train": {"algorithm": "GD", "eta": "auto", "total_steps": 50},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "sweep": {"axis": "lr", "values": [0.02, 0.08]},
+  "seeds": [0, 1]
+}
+EOF
+    cat >"$1/idx_sgd.json" <<'EOF'
+{
+  "network": {"input_dim": 16, "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
+  "train": {"algorithm": "SGD", "eta": 0.1, "batch": 8, "total_steps": 100},
+  "data": {"source": "idx", "images": "idx_fixture-images.idx", "labels": "idx_fixture-labels.idx",
+           "keep": [0, 1], "c_y": 0.25, "train_fraction": 0.75, "seed": 3},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1]
+}
+EOF
 }
 
 run_side() {  # run_side TREE OUTDIR
@@ -143,6 +167,10 @@ run_side() {  # run_side TREE OUTDIR
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done
         gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
+        gb sweep_lr sweep --config extra/lr_sweep.json --out sweep_lr
+        gb gen_idx gen-data --kind idx-fixture --n 80 --seed 1 --out idx_fixture
+        gb train_idx_sgd train --config extra/idx_sgd.json --out train_idx_sgd
+        gb train_toy_seed5 train --config configs/toy_regression.json --seed 5 --out train_toy_seed5
         gb verify verify --seed 0 --out verify.json
         gb verify3 verify --seed 3 --out verify3.json
         gb verify_order verify --suite rademacher --suite init-concentration \

@@ -250,13 +250,6 @@ def _parse(doc: dict) -> Config:
     return config
 
 
-def _check(config: Config, seeds) -> None:
-    """Range-check the run of `config` for each seed, before any starts."""
-    for seed in seeds:
-        replace(config.train, seed=seed).validate(config.spec.n_hidden)
-    bnd._theorem(config.train.algorithm, config.rho)  # the rho its theorem needs
-
-
 def build_datasets(config: Config):
     """Returns (train dataset, test dataset or None) from the data section."""
     dc = config.data
@@ -301,6 +294,24 @@ def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
         return RunResult(seed, cfg.eta, exc.trajectory, True)
 
 
+def _run_all(runs: list, out_dir: str):
+    """An iterator over the RunResults of the (config, seed) pairs `runs`, in order.
+
+    Before it returns, every run is range-checked, each distinct data
+    section is built once, in first-use order, and out_dir is made, so a
+    config error writes nothing.  Each run starts when its result is read.
+    """
+    for config, seed in runs:
+        replace(config.train, seed=seed).validate(config.spec.n_hidden)
+        bnd._theorem(config.train.algorithm, config.rho)  # the rho its theorem needs
+    datasets = {}
+    for config, _ in runs:
+        if config.data not in datasets:
+            datasets[config.data] = build_datasets(config)
+    os.makedirs(out_dir, exist_ok=True)
+    return (run_one(config, *datasets[config.data], seed) for config, seed in runs)
+
+
 def _fmt(v) -> str:
     return repr(float(v))
 
@@ -331,12 +342,12 @@ def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> Non
             fh.write(f"# diverged at step {traj.diverged_at}\n")
 
 
-def read_trajectory_csv(path: str, config: Config) -> Trajectory:
-    """Rebuild a logged run from its CSV; the config supplies what it omits.
+def read_trajectory_csv(path: str, config: Config) -> tuple[Trajectory, np.ndarray]:
+    """Rebuild a logged run and its bound_prefix column from its CSV.
 
-    The CSV carries no seed, gradients, outputs or final parameters, so
-    those fields are None.  A trailing `# diverged at step N` marker sets
-    diverged_at.
+    The config supplies what the CSV omits.  The CSV carries no seed,
+    gradients, outputs or final parameters, so those fields are None.  A
+    trailing `# diverged at step N` marker sets diverged_at.
     """
     spec = config.spec
     diverged_at = None
@@ -348,7 +359,7 @@ def read_trajectory_csv(path: str, config: Config) -> Trajectory:
                 diverged_at = int(line.rsplit(" ", 1)[1])
             elif line.strip() and not line.startswith("#"):
                 rows.append([float(v) for v in line.split(",")])
-    missing = [name for name in _CSV_COLUMNS if name not in header]
+    missing = [name for name in _CSV_COLUMNS + ["bound_prefix"] if name not in header]
     if missing:
         raise ValueError(f"{path}: missing columns {', '.join(missing)}")
     n_normsq = sum(name.startswith("normsq_") for name in header)
@@ -363,7 +374,7 @@ def read_trajectory_csv(path: str, config: Config) -> Trajectory:
         [arr[:, col[f"normsq_{l + 1}"]] for l in range(spec.n_layers)], axis=1
     )
     ds, _ = build_datasets(config)
-    return Trajectory(
+    traj = Trajectory(
         algorithm=config.train.algorithm,
         spec=spec,
         steps=np.arange(arr.shape[0]),
@@ -379,6 +390,7 @@ def read_trajectory_csv(path: str, config: Config) -> Trajectory:
         n_train=ds.n,
         diverged_at=diverged_at,
     )
+    return traj, arr[:, col["bound_prefix"]]
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -397,11 +409,8 @@ def _assemble(config: Config, traj: Trajectory, cl_seed_mean=None):
 def cmd_train(args) -> int:
     config = load_config(args.config)
     seeds = config.seeds if args.seed is None else (args.seed,)
-    _check(config, seeds)
-    ds, ds_test = build_datasets(config)
     out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    results = [run_one(config, ds, ds_test, s) for s in seeds]
+    results = list(_run_all([(config, s) for s in seeds], out_dir))
     primary = results[0]
     cl_seed_mean = None
     if len(results) > 1:
@@ -432,12 +441,11 @@ def cmd_train(args) -> int:
     _dump_json(payload, os.path.join(out_dir, "report.json"))
     if config.svg:
         traj = primary.trajectory
-        t_col = traj.times if traj.algorithm == "GF" else traj.steps
         chart = svgchart.line_chart(
             [
-                ("train loss", t_col, traj.ln_train),
-                ("test loss", t_col, traj.ln_test),
-                ("bound", t_col, series),
+                ("train loss", traj.times, traj.ln_train),
+                ("test loss", traj.times, traj.ln_test),
+                ("bound", traj.times, series),
             ],
             "loss and bound along training",
         )
@@ -452,8 +460,16 @@ def cmd_train(args) -> int:
 
 def cmd_bound(args) -> int:
     config = load_config(args.config)
-    traj = read_trajectory_csv(args.trajectory, config)
-    report, _ = _assemble(config, traj)
+    traj, logged = read_trajectory_csv(args.trajectory, config)
+    report, series = _assemble(config, traj)
+    same = (series == logged) | (np.isnan(series) & np.isnan(logged))
+    if not same.all():
+        row = int(np.argmin(same))
+        raise ValueError(
+            f"{args.trajectory}: column bound_prefix differs from the config's bound at data row "
+            f"{row}: CSV {_fmt(logged[row])}, config {_fmt(series[row])}; it depends on n, lam, "
+            "delta, rho, the algorithm and the network"
+        )
     _dump_json(report.to_dict(), args.out)
     if traj.diverged_at is not None:
         print(f"trajectory diverged at step {traj.diverged_at}", file=sys.stderr)
@@ -495,18 +511,15 @@ def cmd_compare(args) -> int:
         replace(config, train=replace(config.train, algorithm=algorithm, beta=beta))
         for algorithm, beta in jobs
     ]
-    for variant in variants:
-        _check(variant, [seed])
-    ds, ds_test = build_datasets(config)
     out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    results = _run_all([(variant, seed) for variant in variants], out_dir)
     rows = []
-    for variant in variants:
-        traj = run_one(variant, ds, ds_test, seed).trajectory
+    for variant, res in zip(variants, results):
+        traj = res.trajectory
         report, _ = _assemble(config, traj)
         beta = variant.train.beta
         eta_sum = float(np.sum(traj.eta[:-1]))
-        info = bnd.sgld_bound(config.loss_bound, config.lip, beta, ds.n, eta_sum)
+        info = bnd.sgld_bound(config.loss_bound, config.lip, beta, traj.n_train, eta_sum)
         cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info)]
         rows.append(",".join([variant.train.algorithm] + cells) + "\n")
     path = os.path.join(out_dir, "compare.csv")
@@ -557,40 +570,30 @@ def cmd_sweep(args) -> int:
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise ConfigError(f"section 'sweep' key 'values': two values write {repeated[0]}/")
-    variants = [
-        (name, value, _sweep_variant(config, axis, value))
-        for name, value in zip(names, config.sweep_values)
-    ]
-    datasets = {}  # width and lr values share one data section
-    for _, _, variant in variants:
-        _check(variant, config.seeds)
-        if variant.data not in datasets:
-            datasets[variant.data] = build_datasets(variant)
+    variants = [_sweep_variant(config, axis, value) for value in config.sweep_values]
     out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    def run_value(name, value, variant) -> tuple[str, bool]:
-        """Runs one value's seeds and writes its directory; returns its sweep.csv row."""
-        ds, ds_test = datasets[variant.data]
-        results = [run_one(variant, ds, ds_test, s) for s in config.seeds]
-        assembled = [_assemble(config, res.trajectory) for res in results]
+    # value-major, so each value's directory is written before the next value's runs start
+    results = _run_all([(variant, s) for variant in variants for s in config.seeds], out_dir)
+    rows, diverged = [], False
+    for name, value in zip(names, config.sweep_values):
+        value_results = [next(results) for _ in config.seeds]
+        assembled = [_assemble(config, res.trajectory) for res in value_results]
         report, series = assembled[0]
         sub = os.path.join(out_dir, name)
         os.makedirs(sub, exist_ok=True)
-        write_trajectory_csv(results[0].trajectory, series, os.path.join(sub, "trajectory.csv"))
+        write_trajectory_csv(value_results[0].trajectory, series, os.path.join(sub, "trajectory.csv"))
         _dump_json(report.to_dict(), os.path.join(sub, "report.json"))
         cl_mean = float(np.mean([r.cl for r, _ in assembled]))
         bound_mean = float(np.mean([r.bound for r, _ in assembled]))
         cells = [_fmt(report.cl), _fmt(report.bound), _fmt(cl_mean), _fmt(bound_mean)]
-        row = ",".join([axis, str(value)] + cells) + "\n"
-        return row, any(res.diverged for res in results)
-
-    rows = [run_value(name, value, variant) for name, value, variant in variants]
+        rows.append(",".join([axis, str(value)] + cells) + "\n")
+        diverged = diverged or any(res.diverged for res in value_results)
+        del value_results, assembled, series  # the next value's runs need not hold these
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("axis,value,cl,bound,cl_seed_mean,bound_seed_mean\n")
-        fh.writelines(row for row, _ in rows)
-    if any(diverged for _, diverged in rows):
+        fh.writelines(rows)
+    if diverged:
         print("at least one sweep run diverged", file=sys.stderr)
         return 1
     print(f"sweep table -> {path}")

@@ -97,32 +97,26 @@ def synth_classification(n: int, seed: int, c_y: float = 0.25, split: str = "tra
     return Dataset(X, y, c_y, split)
 
 
-def _read_idx_images(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16:
-            raise ValueError(f"{path}: truncated IDX image header")
-        magic, count, rows, cols = struct.unpack(">iiii", head)
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"{path}: bad image magic {magic:#010x}")
-        body = fh.read(count * rows * cols)
-    if len(body) != count * rows * cols:
-        raise ValueError(f"{path}: truncated IDX image body")
-    return np.frombuffer(body, dtype=np.uint8).reshape(count, rows * cols)
+def _read_idx(path, what: str, magic: int) -> np.ndarray:
+    """The uint8 body of an IDX file of `what` (image or label) whose header has `magic`.
 
-
-def _read_idx_labels(path) -> np.ndarray:
+    The magic's low byte counts the dimension sizes that follow it.  Images
+    come back as (count, rows*cols), labels as (count,).
+    """
+    n_head = 4 + 4 * (magic & 0xFF)
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise ValueError(f"{path}: truncated IDX label header")
-        magic, count = struct.unpack(">ii", head)
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"{path}: bad label magic {magic:#010x}")
-        body = fh.read(count)
-    if len(body) != count:
-        raise ValueError(f"{path}: truncated IDX label body")
-    return np.frombuffer(body, dtype=np.uint8)
+        head = fh.read(n_head)
+        if len(head) != n_head:
+            raise ValueError(f"{path}: truncated IDX {what} header")
+        found, count, *rest = struct.unpack(f">{n_head // 4}i", head)
+        if found != magic:
+            raise ValueError(f"{path}: bad {what} magic {found:#010x}")
+        shape = (count, math.prod(rest)) if rest else (count,)
+        size = math.prod(shape)
+        body = fh.read(size)
+    if len(body) != size:
+        raise ValueError(f"{path}: truncated IDX {what} body")
+    return np.frombuffer(body, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path, labels_path, keep, c_y: float, split: str = "train") -> Dataset:
@@ -135,8 +129,8 @@ def load_idx(images_path, labels_path, keep, c_y: float, split: str = "train") -
     keep = sorted(set(int(k) for k in keep))
     if len(keep) != 2:
         raise ValueError("keep must contain exactly two distinct labels")
-    X_raw = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    X_raw = _read_idx(images_path, "image", IDX_IMAGE_MAGIC)
+    labels = _read_idx(labels_path, "label", IDX_LABEL_MAGIC)
     if X_raw.shape[0] != labels.shape[0]:
         raise ValueError("image and label counts differ")
     mask = np.isin(labels, keep)

@@ -213,9 +213,9 @@ def test_bound_recompute_matches_train(tmp_path, train_section):
     # the report's CL is the last row of the CSV's CL column, also for gradient flow
     assert _csv_column(out / "trajectory.csv", "CL")[-1] == original["cl"]
     config = cli.load_config(cfg)
-    traj = cli.read_trajectory_csv(str(out / "trajectory.csv"), config)
+    traj, logged = cli.read_trajectory_csv(str(out / "trajectory.csv"), config)
     _, series = cli._assemble(config, traj)
-    assert series.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
+    assert series.tolist() == logged.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
 
 
 @pytest.mark.parametrize(
@@ -284,8 +284,14 @@ def _fc_network(widths):
 
 @pytest.mark.parametrize(
     "trained, read, edit",
-    [([8], [8, 8], None), ([8, 8], [8], None), ([8], [8], "header_only"), ([8], [8], "renamed_column")],
-    ids=["deeper_config", "shallower_config", "header_only", "renamed_column"],
+    [
+        ([8], [8, 8], None),
+        ([8, 8], [8], None),
+        ([8], [8], "header_only"),
+        ([8], [8], "CL"),
+        ([8], [8], "bound_prefix"),
+    ],
+    ids=["deeper_config", "shallower_config", "header_only", "renamed_column", "renamed_bound_prefix"],
 )
 def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, read, edit):
     out = tmp_path / "run"
@@ -295,17 +301,159 @@ def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, r
     lines = csv.read_text().splitlines(keepends=True)
     if edit == "header_only":
         csv.write_text(lines[0])
-    elif edit == "renamed_column":
-        csv.write_text("".join([lines[0].replace(",CL,", ",CLX,")] + lines[1:]))
+    elif edit is not None:
+        csv.write_text("".join([lines[0].replace(f",{edit}", f",{edit}X")] + lines[1:]))
     capsys.readouterr()
     cfg = _write(tmp_path, _base_config(network=_fc_network(read)), "read.json")
     code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(tmp_path / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv) in err
-    if edit == "renamed_column":
-        assert err.rstrip().endswith("missing columns CL")
+    if edit not in (None, "header_only"):
+        assert err.rstrip().endswith(f"missing columns {edit}")
     assert not (tmp_path / "r.json").exists()
+
+
+_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def test_bound_rejects_shipped_config_of_another_run(tmp_path, capsys):
+    out = tmp_path / "toy"
+    assert cli.main(["train", "--config", os.path.join(_CONFIGS, "toy_regression.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "r.json"
+    code = cli.main([
+        "bound", "--config", os.path.join(_CONFIGS, "compare_sgld.json"),
+        "--trajectory", str(out / "trajectory.csv"), "--out", str(report_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "column bound_prefix differs from the config's bound at data row 0: CSV " in err
+    assert "n, lam, delta, rho, the algorithm and the network" in err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "trained, read",
+    [
+        ({}, {"bound": {"lam": 0.4}}),
+        ({}, {"bound": {"delta": 0.1}}),
+        ({}, {"data": {"n_train": 40}}),
+        ({}, {"train": {"algorithm": "SGD", "batch": 8}}),  # rho 1 doubles both summands
+        ({}, {"network": {"input_dim": 3, "fc_widths": [16], "output_width": 16, "norm_exponent": 0.5}}),
+        ({"train": {"algorithm": "SGD", "batch": 8}}, {"train": {"algorithm": "SGD", "batch": 8}, "bound": {"rho": 2.0}}),
+        ({}, None),  # the train config, with the CL cell of row 5 edited
+    ],
+    ids=["lam", "delta", "n_train", "algorithm", "network", "rho", "edited_CL"],
+)
+def test_bound_rejects_trajectory_its_config_does_not_reproduce(tmp_path, capsys, trained, read):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config(**trained), "train.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    row = 0
+    if read is None:
+        row = 5
+        lines = csv.read_text().splitlines(keepends=True)
+        cells = lines[1 + row].split(",")
+        cells[5] = repr(float(cells[5]) + 1.0)
+        lines[1 + row] = ",".join(cells)
+        csv.write_text("".join(lines))
+    else:
+        cfg = _write(tmp_path, _base_config(**{**trained, **read}), "read.json")
+    capsys.readouterr()
+    report_path = tmp_path / "r.json"
+    code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: column bound_prefix differs from the config's bound at data row {row}: ")
+    logged = _csv_column(csv, "bound_prefix")[row]
+    assert f"CSV {logged!r}, config " in err
+    assert not report_path.exists()
+
+
+def test_bound_counts_nan_equal_to_nan(tmp_path):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config())
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    cells = lines[6].split(",")
+    cells[5] = "nan"  # a NaN CL gives a NaN bound, which the CSV then logs
+    cells[-1] = "nan\n"
+    lines[6] = ",".join(cells)
+    csv.write_text("".join(lines))
+    assert cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, override, key, expected_order, n_builds",
+    [
+        ("train", {"seeds": [0, 1]}, lambda c, s: s, [0, 1], 1),
+        (
+            "compare",
+            {
+                "train": {"algorithm": "SGLD", "beta": 100.0},
+                "compare": {"betas": [10, 1000], "loss_bound": 0.25, "lip": 1.0},
+            },
+            lambda c, s: (c.train.algorithm, c.train.beta, s),
+            [("SGLD", 10.0, 0), ("SGLD", 1000.0, 0), ("GD", math.inf, 0)],
+            1,
+        ),
+        (
+            "sweep",
+            {
+                "train": {"algorithm": "SGD", "batch": 8},
+                "data": {"kind": "classification", "c_y": 0.25},
+                "sweep": {"axis": "noise", "values": [0.0, 0.5, 1.0]},
+                "seeds": [0, 1],
+            },
+            lambda c, s: (c.data.noise_fraction, s),
+            [(0.0, 0), (0.0, 1), (0.5, 0), (0.5, 1), (1.0, 0), (1.0, 1)],
+            3,
+        ),
+        (
+            "sweep",
+            {"sweep": {"axis": "width", "values": [4, 8]}, "seeds": [0, 1]},
+            lambda c, s: (c.spec.output_width, s),
+            [(4, 0), (4, 1), (8, 0), (8, 1)],
+            1,
+        ),
+        (
+            "sweep",
+            {"train": {"eta": "auto"}, "sweep": {"axis": "lr", "values": [0.02, 0.08]}, "seeds": [0, 1]},
+            lambda c, s: (c.train.eta, c.eta_auto, s),
+            [(0.02, False, 0), (0.02, False, 1), (0.08, False, 0), (0.08, False, 1)],
+            1,
+        ),
+    ],
+    ids=["train", "compare", "sweep-noise", "sweep-width", "sweep-lr"],
+)
+def test_runs_build_each_data_section_once_and_run_in_config_order(
+    tmp_path, monkeypatch, command, override, key, expected_order, n_builds
+):
+    builds, order, written = [], [], []
+    build_datasets, run_one = cli.build_datasets, cli.run_one
+    out = tmp_path / "o"
+
+    def counting_build(config):
+        builds.append(config.data)
+        return build_datasets(config)
+
+    def recording_run(config, ds, ds_test, seed):
+        order.append(key(config, seed))
+        written.append(len(list(out.glob("*/report.json"))))
+        return run_one(config, ds, ds_test, seed)
+
+    monkeypatch.setattr(cli, "build_datasets", counting_build)
+    monkeypatch.setattr(cli, "run_one", recording_run)
+    doc = _base_config(**override)
+    assert cli.main([command, "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert len(builds) == len(set(builds)) == n_builds
+    assert order == expected_order
+    # a sweep writes each value's directory before the next value's runs start
+    n_seeds = len(doc["seeds"])
+    assert written == [i // n_seeds if command == "sweep" else 0 for i in range(len(order))]
 
 
 @pytest.mark.parametrize(
