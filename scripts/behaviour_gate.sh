@@ -14,12 +14,14 @@
 # own thread and a suite repeats), and verify --seed 0 --inject-bug, the
 # one run of the perturbed homogeneity suite, which must exit 1 on the
 # working tree; and train --seed 5 on the toy config, the one run whose
-# seed list the command line replaces.  Eight more configs are
+# seed list the command line replaces.  Nine more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
 # with loss_power 4, label noise and a test set (train and bound); a
-# two-seed CNN SGLD run (train); a GD run that diverges at step 3 (train
+# two-seed CNN SGLD run (train); a two-seed GD run on a CNN with no fc
+# layer, the one layout whose backward pass writes the readout's error
+# signal over a conv output (train and bound); a GD run that diverges at step 3 (train
 # and bound, both exit 1); an SGD run whose minibatches are drawn four
 # steps at a time and that diverges at step 6, inside its second block
 # (train and bound, both exit 1); and a two-seed width sweep over JSON
@@ -72,6 +74,15 @@ EOF
 {
   "network": {"input_dim": 3, "conv_kernels": [2], "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
   "train": {"algorithm": "SGLD", "eta": 0.05, "beta": 1000.0, "total_steps": 100},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "n_test": 32, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1]
+}
+EOF
+    cat >"$1/cnn_conv_only.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "conv_kernels": [1, 2], "fc_widths": [], "output_width": 1, "norm_exponent": 0.5},
+  "train": {"algorithm": "GD", "eta": 0.1, "total_steps": 100},
   "data": {"source": "synthetic", "kind": "regression", "n_train": 64, "n_test": 32, "seed": 0},
   "bound": {"lam": 0.5, "delta": 0.05},
   "seeds": [0, 1]
@@ -159,10 +170,10 @@ run_side() {  # run_side TREE OUTDIR
         gb bound_toy bound --config configs/toy_regression.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
-        for stem in gf_power4 sgd_power4 cnn_sgld gd_diverge sgd_diverge; do
+        for stem in gf_power4 sgd_power4 cnn_sgld cnn_conv_only gd_diverge sgd_diverge; do
             gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"
         done
-        for stem in gf_power4 sgd_power4 gd_diverge sgd_diverge; do
+        for stem in gf_power4 sgd_power4 cnn_conv_only gd_diverge sgd_diverge; do
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done

@@ -25,6 +25,7 @@ from .network import NetworkSpec, init_gaussian
 from .training import (
     ALGORITHMS,
     DivergenceError,
+    FieldError,
     TrainConfig,
     Trajectory,
     estimate_c_f,
@@ -302,7 +303,10 @@ def _run_all(runs: list, out_dir: str):
     config error writes nothing.  Each run starts when its result is read.
     """
     for config, seed in runs:
-        replace(config.train, seed=seed).validate(config.spec.n_hidden)
+        try:
+            replace(config.train, seed=seed).validate(config.spec.n_hidden)
+        except FieldError as exc:  # a train key: lam and epsilon are range-checked when parsed
+            raise ConfigError(f"section 'train' key '{exc.field}': {exc}") from exc
         bnd._theorem(config.train.algorithm, config.rho)  # the rho its theorem needs
     datasets = {}
     for config, _ in runs:
@@ -462,14 +466,29 @@ def cmd_bound(args) -> int:
     config = load_config(args.config)
     traj, logged = read_trajectory_csv(args.trajectory, config)
     report, series = _assemble(config, traj)
-    same = (series == logged) | (np.isnan(series) & np.isnan(logged))
-    if not same.all():
-        row = int(np.argmin(same))
-        raise ValueError(
-            f"{args.trajectory}: column bound_prefix differs from the config's bound at data row "
-            f"{row}: CSV {_fmt(logged[row])}, config {_fmt(series[row])}; it depends on n, lam, "
-            "delta, rho, the algorithm and the network"
-        )
+    negative = np.flatnonzero(traj.ln_train < 0.0)
+    if negative.size:
+        raise ValueError(f"{args.trajectory}: column Ln_train is negative at data row {negative[0]}")
+    # psi and CL as the training loop computes them: psi of each logged loss as a
+    # Python float, CL the prefix sum of 2*eta*psi, or for GF the trapezoid over t
+    psi = np.array([bnd.psi(float(ln), traj.c_y, traj.loss_power) for ln in traj.ln_train])
+    if traj.algorithm == "GF":
+        terms = (psi[:-1] + psi[1:]) * np.diff(traj.times)
+    else:
+        terms = 2.0 * traj.eta[:-1] * psi[:-1]
+    cl = np.cumsum(np.concatenate(([0.0], terms)))
+    for name, what, csv_col, want, depends in (
+        ("psi", "psi", traj.psi, psi, "Ln_train, c_y (data section) and loss_power"),
+        ("CL", "CL", traj.cl, cl, "psi, eta and the algorithm"),
+        ("bound_prefix", "bound", logged, series, "n, lam, delta, rho, the algorithm and the network"),
+    ):
+        same = (want == csv_col) | (np.isnan(want) & np.isnan(csv_col))
+        if not same.all():
+            row = int(np.argmin(same))
+            raise ValueError(
+                f"{args.trajectory}: column {name} differs from the config's {what} at data row "
+                f"{row}: CSV {_fmt(csv_col[row])}, config {_fmt(want[row])}; it depends on {depends}"
+            )
     _dump_json(report.to_dict(), args.out)
     if traj.diverged_at is not None:
         print(f"trajectory diverged at step {traj.diverged_at}", file=sys.stderr)

@@ -111,6 +111,9 @@ def _read_idx(path, what: str, magic: int) -> np.ndarray:
         found, count, *rest = struct.unpack(f">{n_head // 4}i", head)
         if found != magic:
             raise ValueError(f"{path}: bad {what} magic {found:#010x}")
+        for field, value in zip(("count", "rows", "cols"), (count, *rest)):
+            if value < 0:
+                raise ValueError(f"{path}: negative {what} {field} {value} in the IDX header")
         shape = (count, math.prod(rest)) if rest else (count,)
         size = math.prod(shape)
         body = fh.read(size)

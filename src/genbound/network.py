@@ -226,8 +226,9 @@ def _buffer(workspace: dict | None, key: tuple, shape: tuple, dtype=float) -> np
 def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = None):
     """Batched forward pass. Returns (outputs, activations, pre-activations).
 
-    With a workspace, each fc activation overwrites its pre-activation in
-    one buffer, which holds until the next pass with that workspace.
+    Each fc activation overwrites its pre-activation in one array, so an fc
+    pres[l] is zs[l + 1]; a conv pres[l] keeps the raw values its mask reads.
+    With a workspace that array is its buffer, valid until the next pass.
     """
     spec = params.spec
     Z = X
@@ -244,9 +245,8 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
             y = np.maximum(pre, 0.0)
             Z = y.reshape(Z.shape[0], m_out, s).mean(axis=2)
         else:
-            shape = (Z.shape[0], W.shape[1])
-            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "z"), shape))
-            Z = np.maximum(pre, 0.0, out=_buffer(workspace, (l, "z"), shape))
+            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "z"), (Z.shape[0], W.shape[1])))
+            Z = np.maximum(pre, 0.0, out=pre)
         pres.append(pre)
         zs.append(Z)
     f = (Z @ params.layers[-1]) * spec.out_scale
@@ -256,19 +256,20 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
 def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: dict | None = None):
     """Gradient of sum_i coef_i * f(x_i) with respect to every layer.
 
-    The fc masks are read from the activations zs, since a workspace pass
-    leaves the activations in pres.  With a workspace, the fc weight gradients
-    live in its buffers and are overwritten by the next pass with that workspace.
+    Consumes zs[1:]: every fc mask is read from its activation zs[l + 1]
+    first, then each error signal is written over the activation it is done
+    with (a fresh array below an fc layer on a conv one); zs[0] is never
+    written.  With a workspace, the fc weight gradients are its buffers.
     """
     spec = params.spec
-    n = coef.shape[0]
     grads: list[np.ndarray] = [np.empty(0)] * len(params.layers)
     grads[-1] = spec.out_scale * (zs[-1].T @ coef)
-    top = len(params.layers) - 2
-    G = _buffer(workspace, (top, "G"), (n, spec.output_width))
-    np.multiply(coef[:, None], params.layers[-1], out=G)  # np.outer, unwrapped
+    on = {l: np.greater(zs[l + 1], 0.0, out=_buffer(workspace, (l, "on"), zs[l + 1].shape, bool))
+          for l in range(spec.n_conv, spec.n_hidden)}
+    # np.outer's values, but +0.0 where its product is -0.0: every reader of G sums from +0.0
+    G = np.einsum("i,j->ij", coef, params.layers[-1], out=zs[-1])
     G *= spec.out_scale
-    for l in range(top, -1, -1):
+    for l in range(spec.n_hidden - 1, -1, -1):
         W = params.layers[l]
         Zin = zs[l]
         if l < spec.n_conv:
@@ -290,12 +291,11 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
             # by the 0/1 mask keeps each bit where the unit is on and gives
             # +0.0 where it is off (pre <= 0 or NaN), signed zeros and NaN
             # alike, with no branch per entry as a masked copy would take
-            on = np.greater(zs[l + 1], 0.0, out=_buffer(workspace, (l, "on"), G.shape, bool))
             bits = G.view(np.uint64)
-            np.multiply(bits, on, out=bits)
+            np.multiply(bits, on[l], out=bits)
             grads[l] = np.matmul(Zin.T, G, out=_buffer(workspace, (l, "grad"), W.shape))
             if l > 0:
-                G = np.matmul(G, W.T, out=_buffer(workspace, (l - 1, "G"), Zin.shape))
+                G = np.matmul(G, W.T, out=Zin if l > spec.n_conv else None)
     return grads
 
 

@@ -51,6 +51,14 @@ _BATCH_BLOCK = 1 << 13
 _C_F_MARGIN = 1.1
 
 
+class FieldError(ValueError):
+    """A TrainConfig field out of range; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by all algorithms; unused fields are ignored.
@@ -75,36 +83,38 @@ class TrainConfig:
     kappa: float = 1.0
 
     def validate(self, n_hidden: int | None = None) -> None:
+        """Range-check the fields: a FieldError names the one at fault, except
+        the seed (it may come from the command line), which raises ValueError."""
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+            raise FieldError("algorithm", f"algorithm must be one of {ALGORITHMS}")
         if self.eta <= 0:
-            raise ValueError("eta must be positive")
+            raise FieldError("eta", "eta must be positive")
         if self.t0 < 1 or int(self.t0) != self.t0:
-            raise ValueError("t0 must be an integer >= 1")
+            raise FieldError("t0", "t0 must be an integer >= 1")
         if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
+            raise FieldError("alpha", "alpha must lie in (0, 1]")
         if not (0.0 < self.lam < LAMBDA_MAX):
-            raise ValueError("lam must lie in (0, 1/sqrt(3))")
+            raise FieldError("lam", "lam must lie in (0, 1/sqrt(3))")
         if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise FieldError("epsilon", "epsilon must lie in (0, 1)")
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise FieldError("kappa", "kappa must be positive")
         if self.seed < 0 or int(self.seed) != self.seed:
             raise ValueError("seed must be a nonnegative integer")
         if self.loss_power < 2 or int(self.loss_power) != self.loss_power:
-            raise ValueError("loss_power must be an integer >= 2")
+            raise FieldError("loss_power", "loss_power must be an integer >= 2")
         if self.total_steps < 0:
-            raise ValueError("total_steps must be nonnegative")
+            raise FieldError("total_steps", "total_steps must be nonnegative")
         if self.algorithm == "SGD" and self.batch < 1:
-            raise ValueError("batch must be >= 1 for SGD")
+            raise FieldError("batch", "batch must be >= 1 for SGD")
         if self.algorithm == "SGLD":
             if self.beta is None or (self.beta != math.inf and self.beta <= 0):
-                raise ValueError("SGLD needs beta > 0 (or inf for the noiseless limit)")
+                raise FieldError("beta", "SGLD needs beta > 0 (or inf for the noiseless limit)")
         if self.algorithm == "GF":
             if self.duration is None or self.duration <= 0:
-                raise ValueError("GF needs a positive duration")
+                raise FieldError("duration", "GF needs a positive duration")
             if self.gf_substep is not None and self.gf_substep <= 0:
-                raise ValueError("gf_substep must be positive")
+                raise FieldError("gf_substep", "gf_substep must be positive")
         if n_hidden is not None and self.algorithm in ("GD", "SGD"):
             lo = (n_hidden + 1) / (n_hidden + 2)
             if self.alpha <= lo:

@@ -84,7 +84,9 @@ def sample_kink_free(params, rng, margin: float, max_tries: int = 500):
     """Input in the unit ball whose pre-activations all clear `margin`, and its smallest |pre|."""
     for _ in range(max_tries):
         x = random_ball_points(rng, 1, params.spec.input_dim)[0]
-        _, _, pres = _forward_batch(params, x[None, :])
+        _, zs, pres = _forward_batch(params, x[None, :])
+        # an fc layer's pre-activation is overwritten by its activation; recompute it
+        pres = [pre if l < params.spec.n_conv else zs[l] @ params.layers[l] for l, pre in enumerate(pres)]
         smallest = min(float(np.min(np.abs(pre))) for pre in pres)
         if smallest >= margin:
             return x, smallest

@@ -317,6 +317,34 @@ def test_bound_rejects_csv_that_does_not_fit_config(tmp_path, capsys, trained, r
 _CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
+def test_train_names_the_config_key_it_rejects(tmp_path, capsys):
+    # the shipped SGLD config sets no train.beta, which only compare fills in
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", os.path.join(_CONFIGS, "compare_sgld.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: section 'train' key 'beta': SGLD needs beta > 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "train_section, key",
+    [
+        ({"algorithm": "GF", "eta": 0.1}, "duration"),
+        ({"algorithm": "GF", "eta": 0.1, "duration": 0.05, "gf_substep": 0.0}, "gf_substep"),
+        ({"eta": -0.1}, "eta"),
+        ({"kappa": 0.0}, "kappa"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_range_error_names_train_key(tmp_path, capsys, train_section, key):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _base_config(train=train_section))
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: section 'train' key '{key}': ")
+    assert not out.exists()
+
+
 def test_bound_rejects_shipped_config_of_another_run(tmp_path, capsys):
     out = tmp_path / "toy"
     assert cli.main(["train", "--config", os.path.join(_CONFIGS, "toy_regression.json"), "--out", str(out)]) == 0
@@ -366,9 +394,76 @@ def test_bound_rejects_trajectory_its_config_does_not_reproduce(tmp_path, capsys
     code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {csv}: column bound_prefix differs from the config's bound at data row {row}: ")
-    logged = _csv_column(csv, "bound_prefix")[row]
+    # an edited CL cell breaks CL's own recurrence, which is checked before the bound
+    column, what = ("bound_prefix", "bound") if read is not None else ("CL", "CL")
+    assert err.startswith(f"error: {csv}: column {column} differs from the config's {what} at data row {row}: ")
+    logged = _csv_column(csv, column)[row]
     assert f"CSV {logged!r}, config " in err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "trained, read, edit, column, row",
+    [
+        ({}, {}, (3, 4), "psi", 3),  # the psi cell of row 3 edited
+        ({}, {"train": {"loss_power": 4}}, None, "psi", 0),
+        ({"data": {"kind": "classification"}}, {"data": {"c_y": 0.5}}, None, "psi", 0),
+        ({}, {}, (5, 1), "CL", 6),  # the eta cell of row 5 edited: CL from row 6 on
+        (
+            {"train": {"algorithm": "GF", "duration": 0.05, "gf_substep": 0.005}},
+            {"train": {"algorithm": "GD"}},  # the left sum where the CSV holds the trapezoid
+            None,
+            "CL",
+            1,
+        ),
+    ],
+    ids=["edited_psi", "loss_power", "c_y", "edited_eta", "GF_read_as_GD"],
+)
+def test_bound_rejects_psi_or_cl_its_config_does_not_reproduce(
+    tmp_path, capsys, trained, read, edit, column, row
+):
+    # psi is recomputed from Ln_train and CL from psi and eta, before the bound
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config(**trained), "train.json")
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    if edit is not None:
+        edited, cell = edit
+        lines = csv.read_text().splitlines(keepends=True)
+        cells = lines[1 + edited].split(",")
+        cells[cell] = repr(float(cells[cell]) * 1.5)
+        lines[1 + edited] = ",".join(cells)
+        csv.write_text("".join(lines))
+    read_doc = _base_config(**trained)
+    for section, keys in read.items():
+        read_doc[section].update(keys)
+    cfg = _write(tmp_path, read_doc, "read.json")
+    capsys.readouterr()
+    report_path = tmp_path / "r.json"
+    code = cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: column {column} differs from the config's {column} at data row {row}:")
+    assert f"CSV {_csv_column(csv, column)[row]!r}, config " in err
+    assert ("c_y (data section) and loss_power" in err) == (column == "psi")
+    assert ("psi, eta and the algorithm" in err) == (column == "CL")
+    assert not report_path.exists()
+
+
+def test_bound_rejects_negative_loss_naming_row(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config())
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    cells = lines[1 + 3].split(",")
+    cells[2] = "-0.5"
+    lines[1 + 3] = ",".join(cells)
+    csv.write_text("".join(lines))
+    capsys.readouterr()
+    report_path = tmp_path / "r.json"
+    assert cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)]) == 2
+    assert capsys.readouterr().err == f"error: {csv}: column Ln_train is negative at data row 3\n"
     assert not report_path.exists()
 
 
@@ -378,10 +473,16 @@ def test_bound_counts_nan_equal_to_nan(tmp_path):
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
     csv = out / "trajectory.csv"
     lines = csv.read_text().splitlines(keepends=True)
-    cells = lines[6].split(",")
-    cells[5] = "nan"  # a NaN CL gives a NaN bound, which the CSV then logs
-    cells[-1] = "nan\n"
-    lines[6] = ",".join(cells)
+    # a NaN loss at data row 5 gives a NaN psi there, a NaN CL from row 6 on
+    # and so a NaN bound, which the CSV then logs
+    for row in range(5, len(lines) - 1):
+        cells = lines[1 + row].split(",")
+        if row == 5:
+            cells[2] = cells[4] = "nan"
+        else:
+            cells[5] = "nan"
+            cells[-1] = "nan\n"
+        lines[1 + row] = ",".join(cells)
     csv.write_text("".join(lines))
     assert cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(tmp_path / "r.json")]) == 0
 

@@ -1,11 +1,14 @@
 """Dataset construction, labeling, noise, and on-disk formats."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from genbound.data import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     REGRESSION_C_Y,
     Dataset,
     inject_label_noise,
@@ -128,6 +131,25 @@ def test_idx_rejects_bad_magic(tmp_path):
     lab_path.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 8)
     with pytest.raises(ValueError, match="magic"):
         load_idx(str(img_path), str(lab_path), keep=(0, 1), c_y=0.25)
+
+
+@pytest.mark.parametrize(
+    "image_dims, label_count, message",
+    [
+        ((-2, 2, 2), -2, "negative image count -2"),
+        ((2, -2, -2), 2, "negative image rows -2"),  # rows*cols alone would read 4
+        ((2, 2, 2), -2, "negative label count -2"),
+    ],
+    ids=["count", "rows", "label_count"],
+)
+def test_idx_rejects_negative_header_field(tmp_path, image_dims, label_count, message):
+    img_path = tmp_path / "images.idx"
+    img_path.write_bytes(struct.pack(">iiii", IDX_IMAGE_MAGIC, *image_dims) + bytes(8))
+    lab_path = tmp_path / "labels.idx"
+    lab_path.write_bytes(struct.pack(">ii", IDX_LABEL_MAGIC, label_count) + bytes([0, 1]))
+    with pytest.raises(ValueError, match=message) as info:
+        load_idx(str(img_path), str(lab_path), keep=(0, 1), c_y=0.25)
+    assert str(img_path if "image" in message else lab_path) in str(info.value)
 
 
 def test_idx_rejects_truncation(tmp_path):

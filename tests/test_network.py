@@ -1,5 +1,7 @@
 """Forward/backward correctness for the homogeneous ReLU model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,17 +196,19 @@ def test_workspace_matches_fresh_arrays_bitwise(widths, p, sizes, loss_power, de
         for n in sizes:
             X = rng.normal(size=(n, 3))
             X /= 1.0 + np.linalg.norm(X, axis=1, keepdims=True)
-            y = rng.uniform(-0.5, 0.5, size=n)
-            want = fnn_loss_grad_where(params, X, y, loss_power)
-            for got in (
-                _loss_grad_outputs(params, X, y, loss_power),
-                _loss_grad_outputs(params, X, y, loss_power, workspace),
-            ):
-                assert _same_bits(got[0], want[0])
-                assert _same_bits(got[2], want[2])
-                assert len(got[1]) == len(want[1])
-                for g_got, g_want in zip(got[1], want[1]):
-                    assert _same_bits(g_got, g_want)
+            # targets equal to the outputs give zero residuals: the readout's
+            # error signal is then zeros carrying the readout weights' signs
+            for y in (rng.uniform(-0.5, 0.5, size=n), batch_outputs(params, X)):
+                want = fnn_loss_grad_where(params, X, y, loss_power)
+                for got in (
+                    _loss_grad_outputs(params, X, y, loss_power),
+                    _loss_grad_outputs(params, X, y, loss_power, workspace),
+                ):
+                    assert _same_bits(got[0], want[0])
+                    assert _same_bits(got[2], want[2])
+                    assert len(got[1]) == len(want[1])
+                    for g_got, g_want in zip(got[1], want[1]):
+                        assert _same_bits(g_got, g_want)
             assert _same_bits(batch_outputs(params, X, workspace), batch_outputs(params, X))
     assert all(buf.ctypes.data % 64 == 0 for buf in workspace.values())
 
@@ -247,11 +251,17 @@ def test_mask_from_activations_matches_where_at_kinks(nonfinite):
             assert _same_bits(f, want[2], equal_nan=True)
             for g_got, g_want in zip(grads, want[1]):
                 assert _same_bits(g_got, g_want, equal_nan=True)
-    # one buffer per fc layer holds the activation; the pre-activations of a
-    # pass without a workspace keep their negative entries
+    # one array per fc layer holds the pre-activation, then the activation,
+    # with or without a workspace; a conv layer's pre-activations keep their
+    # negative entries, which its mask reads
     assert not [key for key in workspace if key[1] == "pre"]
-    if not nonfinite:
-        assert (_forward_batch(params, _KINK_X[:1])[2][0] < 0.0).any()
+    for ws in (None, {}):
+        with np.errstate(invalid="ignore"):
+            _, zs, pres = _forward_batch(params, _KINK_X, ws)
+        assert all(pre is z for pre, z in zip(pres, zs[1:]))
+    cnn = init_gaussian(NetworkSpec(11, (3,), (3,), 3, 0.5), 1.0, 0)
+    _, zs, pres = _forward_batch(cnn, np.random.default_rng(0).uniform(-0.3, 0.3, size=(4, 11)))
+    assert (pres[0] < 0.0).any() and pres[1] is zs[2]
 
 
 def test_mask_from_activations_at_negative_zero():
@@ -270,9 +280,65 @@ def test_mask_from_activations_at_negative_zero():
     with np.errstate(invalid="ignore"):
         for ws in (None, {}):
             for pres in ([pre], [z]):
-                got = _backward_batch(params, [X, z], pres, coef, ws)
+                got = _backward_batch(params, [X, z.copy()], pres, coef, ws)
                 for g_got, g_want in zip(got, want):
                     assert _same_bits(g_got, g_want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(3, (), (8, 5), 5, 0.5),
+        NetworkSpec(11, (3,), (4,), 4, 0.5),
+        NetworkSpec(3, (1, 2), (), 1, 0.0),
+    ],
+    ids=["fnn", "conv-fc", "conv-only"],
+)
+def test_backward_pass_leaves_inputs_and_parameters_unchanged(spec):
+    # the backward pass writes over the activations it has consumed, never
+    # over the caller's inputs, targets or parameters
+    rng = np.random.default_rng(5)
+    params = init_gaussian(spec, 1.0, rng)
+    X = rng.uniform(-1.0, 1.0, size=(6, spec.input_dim)) / (2.0 * spec.input_dim)
+    y = rng.normal(size=6)
+    before = [a.tobytes() for a in (X, y, *params.layers)]
+    loss_and_grad(params, X, y, 4)
+    _loss_grad_outputs(params, X, y, 2)
+    workspace: dict = {}
+    _loss_grad_outputs(params, X, y, 2, workspace)
+    _loss_grad_outputs(params, X, y, 2, workspace)
+    grad_f(params, X[0])
+    _value_grad(params, X[1])
+    assert [a.tobytes() for a in (X, y, *params.layers)] == before
+
+
+def _wide_problem(n: int):
+    rng = np.random.default_rng(0)
+    params = init_gaussian(NetworkSpec(3, (), (256, 256), 256, 0.5), 1.0, rng)
+    X = rng.normal(size=(n, 3))
+    X /= 1.0 + np.linalg.norm(X, axis=1, keepdims=True)
+    return params, X, rng.normal(size=n)
+
+
+def test_wide_workspace_holds_one_activation_per_fc_layer():
+    # no separate error-signal buffers: the backward pass reuses the activations
+    params, X, y = _wide_problem(64)
+    workspace: dict = {}
+    _loss_grad_outputs(params, X, y, 2, workspace)
+    assert sorted(workspace) == [(l, kind) for l in (0, 1) for kind in ("grad", "on", "z")]
+
+
+def test_wide_gradient_without_workspace_holds_two_activation_arrays():
+    # 3-256-256 at n = 2000: each (n, m) float array is 3.9 MiB, so two of
+    # them, the masks and the gradients stay below 10 MiB; four arrays do not
+    params, X, y = _wide_problem(2000)
+    tracemalloc.start()
+    try:
+        loss_and_grad(params, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_init_layer_norm_scale():
