@@ -10,16 +10,17 @@
 # train on bench/wide_gd.json, verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), and verify --seed 2 on rademacher, init-concentration,
-# rademacher (the order of the outcomes when init-concentration runs on its
-# own thread and a suite repeats), and verify --seed 0 --inject-bug, the
-# one run of the perturbed homogeneity suite, which must exit 1 on the
-# working tree; and train --seed 5 on the toy config, the one run whose
-# seed list the command line replaces.  Nine more configs are
+# rademacher (outcomes in request order when a suite is requested twice),
+# and verify --seed 0 --inject-bug, the one run of the perturbed
+# homogeneity suite, which must exit 1 on the working tree; and train
+# --seed 5 on the toy config, the one run whose seed list the command line
+# replaces.  Nine more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
 # with loss_power 4, label noise and a test set (train and bound); a
-# two-seed CNN SGLD run (train); a two-seed GD run on a CNN with no fc
+# two-seed CNN SGLD run (train and bound, the one SGLD trajectory whose psi,
+# CL and bound_prefix bound rechecks); a two-seed GD run on a CNN with no fc
 # layer, the one layout whose backward pass writes the readout's error
 # signal over a conv output (train and bound); a GD run that diverges at step 3 (train
 # and bound, both exit 1); an SGD run whose minibatches are drawn four
@@ -173,7 +174,7 @@ run_side() {  # run_side TREE OUTDIR
         for stem in gf_power4 sgd_power4 cnn_sgld cnn_conv_only gd_diverge sgd_diverge; do
             gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"
         done
-        for stem in gf_power4 sgd_power4 cnn_conv_only gd_diverge sgd_diverge; do
+        for stem in gf_power4 sgd_power4 cnn_sgld cnn_conv_only gd_diverge sgd_diverge; do
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done

@@ -9,7 +9,6 @@ into named batteries for the command-line `verify` entry point.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .network import (
     batch_outputs,
     init_gaussian,
 )
-from .training import TrainConfig, Trajectory, estimate_c_f, max_feasible_eta, train
+from .training import TrainConfig, Trajectory, feasible_eta, train
 
 __all__ = [
     "CheckOutcome",
@@ -196,31 +195,9 @@ def aligned_rank_one_witness(input_dim: int, width: int, seed: int) -> CheckOutc
     return CheckOutcome("value-bound-witness", 1, _rel(abs(f - target), target), 1e-9)
 
 
-# Doubles in the one block the initialization draws go through (8 MiB).
-_DRAW_BLOCK = 1 << 20
-
-
-def _init_row_sums(spec: NetworkSpec, kappa: float, draws: int, seed: int):
-    """Yields (q, sums) per layer: `draws` values of ||layer(0)||^2, layer(0) ~ N(0, kappa^2/q).
-
-    Each layer reads its own stream once, a block of rows at a time, with
-    the bits of rng.normal(0.0, sigma, size=(draws, q)).  `sums` is one
-    buffer that the next layer overwrites.
-    """
-    sizes = spec.layer_sizes()
-    buf = np.empty(max(_DRAW_BLOCK, *sizes))
-    sums = np.empty(draws)
-    for li, q in enumerate(sizes):
-        rng = _rng(seed, li)
-        sigma = kappa / math.sqrt(q)
-        rows = max(1, _DRAW_BLOCK // q)
-        block = buf[: rows * q].reshape(rows, q)
-        for start in range(0, draws, rows):
-            z = block[: min(rows, draws - start)]
-            rng.standard_normal(out=z)
-            z *= sigma
-            np.einsum("ij,ij->i", z, z, out=sums[start : start + z.shape[0]])
-        yield q, sums
+def _layer_sq_norms(q: int, kappa: float, draws: int, rng) -> np.ndarray:
+    """`draws` values of ||layer(0)||^2 for q iid N(0, kappa^2/q) entries: (kappa^2/q) chi^2_q."""
+    return (kappa * kappa / q) * rng.chisquare(q, size=draws)
 
 
 def init_concentration_test(
@@ -240,7 +217,8 @@ def init_concentration_test(
         raise ValueError("delta must lie in (0, 1)")
     details = [[] for _ in deltas]
     worst = [-math.inf for _ in deltas]
-    for q, sums in _init_row_sums(spec, kappa, draws, seed):
+    for li, q in enumerate(spec.layer_sizes()):
+        sums = _layer_sq_norms(q, kappa, draws, _rng(seed, li))
         for di, delta in enumerate(deltas):
             logd = math.log(1.0 / delta)
             threshold = kappa * kappa * (1.0 + max(4.0 * logd / q, math.sqrt(8.0 * logd / q)))
@@ -403,9 +381,7 @@ def _suite_norm_dynamics(seed: int) -> list[CheckOutcome]:
     ds = synth_regression(256, seed)
     spec = NetworkSpec(3, (), (32, 32), 32, math.log(4.0) / math.log(32.0))
     cfg = TrainConfig(algorithm="GD", alpha=1.0, t0=1, total_steps=150, seed=seed, kappa=2.0)
-    params0 = init_gaussian(spec, cfg.kappa, cfg.seed)
-    c_f = estimate_c_f(params0, ds.inputs)
-    cfg.eta = max_feasible_eta(params0.norms(), spec, cfg, c_f, ds.c_y)
+    cfg.eta = feasible_eta(spec, ds, cfg)
     gd = check_norm_dynamics(train(spec, ds, cfg), cfg.lam)
     gf_cfg = TrainConfig(
         algorithm="GF", duration=0.3, gf_substep=0.003, seed=seed, kappa=1.5
@@ -462,36 +438,16 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, seed: int = 0, inject_bug: bool = False) -> list[CheckOutcome]:
-    """Run the named suites (all by default); outcomes and the first error keep request order.
+    """Run the named suites (all by default) in request order; the first error propagates.
 
-    init-concentration runs on a second thread, since its RNG fills release the GIL.
     inject_bug perturbs the homogeneity suite's gradients, the one suite that takes it.
     """
     names = list(names or SUITE_NAMES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite '{name}'; choose from {', '.join(SUITE_NAMES)}")
-    results: list = [None] * len(names)  # per position: the suite's outcomes or its error
-
-    def run(background: bool) -> None:
-        for i, name in enumerate(names):
-            if (name == "init-concentration") == background:
-                suite = SUITES[name]  # looked up now: tracers wrap it
-                try:
-                    results[i] = suite(seed, inject_bug) if name == "homogeneity" else suite(seed)
-                except BaseException as exc:  # raised below, once both threads are done
-                    results[i] = exc
-                    return
-
-    worker = threading.Thread(target=run, args=(True,))
-    if "init-concentration" in names:
-        worker.start()
-    try:
-        run(False)
-    finally:
-        if worker.is_alive():
-            worker.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return [outcome for result in results for outcome in result]
+    outcomes = []
+    for name in names:
+        suite = SUITES[name]
+        outcomes += suite(seed, inject_bug) if name == "homogeneity" else suite(seed)
+    return outcomes

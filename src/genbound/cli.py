@@ -21,15 +21,14 @@ import numpy as np
 
 from . import bounds as bnd
 from . import checks, data, svgchart
-from .network import NetworkSpec, init_gaussian
+from .network import NetworkSpec
 from .training import (
     ALGORITHMS,
     DivergenceError,
     FieldError,
     TrainConfig,
     Trajectory,
-    estimate_c_f,
-    max_feasible_eta,
+    feasible_eta,
     train,
 )
 
@@ -284,10 +283,7 @@ def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
     """Train once for one seed, resolving eta='auto' against feasibility."""
     cfg = replace(config.train, seed=seed)
     if config.eta_auto:
-        params0 = init_gaussian(config.spec, cfg.kappa, seed)
-        c_f = estimate_c_f(params0, ds.inputs)
-        eta = max_feasible_eta(params0.norms(), config.spec, cfg, c_f, ds.c_y)
-        cfg = replace(cfg, eta=eta)
+        cfg = replace(cfg, eta=feasible_eta(config.spec, ds, cfg))
     try:
         traj = train(config.spec, ds, cfg, ds_test)
         return RunResult(seed, cfg.eta, traj, False)
@@ -351,18 +347,34 @@ def read_trajectory_csv(path: str, config: Config) -> tuple[Trajectory, np.ndarr
 
     The config supplies what the CSV omits.  The CSV carries no seed,
     gradients, outputs or final parameters, so those fields are None.  A
-    trailing `# diverged at step N` marker sets diverged_at.
+    trailing `# diverged at step N` marker sets diverged_at.  A marker
+    without a step count, a row with the wrong number of cells or a cell
+    that is not a number fails naming the file and its 1-based line.
     """
     spec = config.spec
     diverged_at = None
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
-            if line.startswith("# diverged at step "):
-                diverged_at = int(line.rsplit(" ", 1)[1])
+        for lineno, line in enumerate(fh, start=2):
+            if line.startswith("# diverged"):
+                step = line.strip().removeprefix("# diverged at step ")
+                if not (step.isascii() and step.isdigit()):
+                    raise ValueError(
+                        f"{path}: line {lineno}: malformed marker {line.strip()!r}, "
+                        "expected '# diverged at step N'"
+                    )
+                diverged_at = int(step)
             elif line.strip() and not line.startswith("#"):
-                rows.append([float(v) for v in line.split(",")])
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"{path}: line {lineno}: {len(cells)} cells, the header names {len(header)}"
+                    )
+                try:
+                    rows.append([float(v) for v in cells])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
     missing = [name for name in _CSV_COLUMNS + ["bound_prefix"] if name not in header]
     if missing:
         raise ValueError(f"{path}: missing columns {', '.join(missing)}")

@@ -36,6 +36,7 @@ __all__ = [
     "lr_schedule",
     "estimate_c_f",
     "max_feasible_eta",
+    "feasible_eta",
     "train",
 ]
 
@@ -293,6 +294,17 @@ def max_feasible_eta(
             )
         best = min(best, t1, t2, t3)
     return best
+
+
+def feasible_eta(spec: NetworkSpec, dataset, config: TrainConfig) -> float:
+    """`max_feasible_eta` at the run's own initialization, the rate eta="auto" resolves to.
+
+    The parameters are init_gaussian(spec, config.kappa, config.seed), and
+    c_f is estimated on dataset's inputs.
+    """
+    params0 = init_gaussian(spec, config.kappa, config.seed)
+    c_f = estimate_c_f(params0, dataset.inputs)
+    return max_feasible_eta(params0.norms(), spec, config, c_f, dataset.c_y)
 
 
 def train(

@@ -132,23 +132,36 @@ def test_init_concentration_matches_chi2_oracle():
         assert abs(float(freqs[f"q={q}"]) - exact) <= 4.0 * se + 1e-4
 
 
-@pytest.mark.parametrize("block", [None, 1000])
-def test_init_concentration_blocks_match_one_shot_oracle(monkeypatch, block):
-    # 1501 draws leave a partial last block in every layer: 256 rows of
-    # q=4096 per shipped 8 MiB block; 62, 1 and 3 rows of q=16, 4096, 256 per
-    # 1000-double block, where q=4096 overflows the block to one row
-    if block is not None:
-        monkeypatch.setattr(checks, "_DRAW_BLOCK", block)
+@pytest.mark.parametrize("q", [16, 256, 4096])
+def test_layer_sq_norms_moments_match_summed_normals(q):
+    # ||layer||^2 over q iid N(0, kappa^2/q) entries has mean kappa^2 and
+    # variance 2 kappa^4/q (excess kurtosis 12/q); the chi-square draw and the
+    # summed squared normals it stands for each match both within 5 SE
+    kappa, draws = 1.5, 2000
+    mean, var = kappa * kappa, 2.0 * kappa**4 / q
+    se_mean = math.sqrt(var / draws)
+    se_var = var * math.sqrt((2.0 + 12.0 / q) / draws)
+    chi2_path = checks._layer_sq_norms(q, kappa, draws, np.random.default_rng(q))
+    reference = init_row_sums(q, kappa, draws, np.random.default_rng(q + 1))
+    for sums in (chi2_path, reference):
+        assert sums.shape == (draws,)
+        assert abs(float(np.mean(sums)) - mean) <= 5.0 * se_mean
+        assert abs(float(np.var(sums, ddof=1)) - var) <= 5.0 * se_var
+
+
+def test_init_concentration_matches_one_shot_oracle():
+    # layer li draws (kappa^2/q) chi^2_q from stream [seed, li]; the outcomes
+    # are assembled from those sums by hand, at a draw count that is not round
     spec = NetworkSpec(1, (), (16, 256), 256, 0.5)
     kappa, draws, seed, deltas = 1.5, 1501, 5, (0.1, 0.01)
     expected = {delta: ([], -math.inf) for delta in deltas}
-    for li, (q, sums) in enumerate(checks._init_row_sums(spec, kappa, draws, seed)):
-        oracle = init_row_sums(q, kappa, draws, checks._rng(seed, li))
-        assert sums.tobytes() == oracle.tobytes()
+    for li, q in enumerate((16, 4096, 256)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, li]))
+        sums = (kappa * kappa / q) * rng.chisquare(q, size=draws)
         for delta in deltas:
             logd = math.log(1.0 / delta)
             threshold = kappa * kappa * (1.0 + max(4.0 * logd / q, math.sqrt(8.0 * logd / q)))
-            freq = int(np.sum(oracle > threshold)) / draws
+            freq = int(np.sum(sums > threshold)) / draws
             details, worst = expected[delta]
             expected[delta] = (details + [f"q={q}:{freq:.4g}"], max(worst, freq - delta))
     outs = init_concentration_test(spec, kappa, deltas, draws, seed)
@@ -169,17 +182,17 @@ def test_init_concentration_deltas_share_draws():
 
 
 def test_init_concentration_suite_pinned():
-    # `verify --suite init-concentration --seed 0` as the per-delta, freshly
-    # allocated draws gave it: a change to the streams or the sums shows here
+    # `verify --suite init-concentration --seed 0` as the chi-square draws
+    # give it: a change to the streams or the sampler shows here
     outs = [o.to_dict() for o in run_suites(["init-concentration"], seed=0)]
     assert outs == [
         {
             "name": "init-concentration-delta=0.1",
             "instances": 30000,
-            "max_violation": -0.09280000000000001,
+            "max_violation": -0.0931,
             "tolerance": 0.009000000000000001,
             "passed": True,
-            "detail": "q=16:0.0072 q=4096:0.0015 q=256:0.0023",
+            "detail": "q=16:0.0069 q=4096:0.0015 q=256:0.0024",
         },
         {
             "name": "init-concentration-delta=0.01",
@@ -187,7 +200,7 @@ def test_init_concentration_suite_pinned():
             "max_violation": -0.0094,
             "tolerance": 0.0029849623113198595,
             "passed": True,
-            "detail": "q=16:0.0006 q=4096:0 q=256:0.0001",
+            "detail": "q=16:0.0006 q=4096:0 q=256:0.0002",
         },
     ]
 
@@ -342,8 +355,8 @@ def test_run_suites_unknown_name(monkeypatch):
     ids=["all", "init-first", "init-last", "repeated"],
 )
 def test_run_suites_overlap_matches_sequential_calls(names):
-    # init-concentration runs on its own thread; the pooled outcomes keep
-    # the bytes and the order of calling each suite in turn
+    # the pooled outcomes keep the bytes and the order of calling each
+    # suite in turn
     got = [o.to_dict() for o in run_suites(names, seed=1)]
     want = [o.to_dict() for name in names for o in checks.SUITES[name](1)]
     assert json.dumps(got).encode() == json.dumps(want).encode()
@@ -360,40 +373,23 @@ def _stub(name, threads, error=None, delay=0.0):
     return suite
 
 
-def test_run_suites_thread_only_for_init_concentration(monkeypatch):
-    threads = []
-    before = threading.active_count()
+def test_run_suites_runs_in_calling_thread_in_request_order(monkeypatch):
+    calls = []  # (suite, thread it ran on, live threads while it ran)
+
+    def stub(name):
+        def suite(seed, inject_bug=False):
+            calls.append((name, threading.current_thread(), threading.active_count()))
+            return [CheckOutcome(name, 1, 0.0, 1.0)]
+
+        return suite
+
     for name in SUITE_NAMES:
-        monkeypatch.setitem(checks.SUITES, name, _stub(name, threads, delay=0.05))
-    outs = run_suites(["homogeneity", "init-concentration", "homogeneity", "rademacher"])
-    assert [o.name for o in outs] == ["homogeneity", "init-concentration", "homogeneity", "rademacher"]
-    assert sorted(threads) == [
-        ("homogeneity", True),
-        ("homogeneity", True),
-        ("init-concentration", False),
-        ("rademacher", True),
-    ]
-    assert threading.active_count() == before
-    counts = []
-    monkeypatch.setitem(
-        checks.SUITES, "rademacher", lambda *a: counts.append(threading.active_count()) or []
-    )
-    run_suites(["rademacher", "homogeneity"])
-    assert counts == [before]  # no thread without init-concentration
-
-
-def test_run_suites_foreground_error_joins_thread(monkeypatch):
-    threads = []
+        monkeypatch.setitem(checks.SUITES, name, stub(name))
+    names = ["init-concentration", "homogeneity", "init-concentration", "rademacher"]
     before = threading.active_count()
-    monkeypatch.setitem(checks.SUITES, "init-concentration", _stub("init", threads, delay=0.3))
-    monkeypatch.setitem(
-        checks.SUITES, "rademacher", _stub("rademacher", threads, error=KeyError("fg"))
-    )
-    with pytest.raises(KeyError, match="fg"):
-        run_suites(["init-concentration", "rademacher"])
-    # the slow background suite finished before the error left run_suites
-    assert threads == [("rademacher", True), ("init", False)]
-    assert threading.active_count() == before
+    outs = run_suites(names)
+    assert [o.name for o in outs] == names
+    assert calls == [(name, threading.current_thread(), before) for name in names]
 
 
 def test_run_suites_raises_first_error_in_request_order(monkeypatch):

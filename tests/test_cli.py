@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from genbound import cli
+from genbound.network import init_gaussian
+from genbound.training import estimate_c_f, max_feasible_eta
 
 from oracles import write_trajectory_csv_per_cell
 
@@ -155,11 +158,25 @@ def test_train_seed_override(tmp_path):
 
 
 def test_train_eta_auto(tmp_path):
-    doc = _base_config(train={"algorithm": "GD", "eta": "auto", "alpha": 1.0, "total_steps": 10, "kappa": 2.0})
+    doc = _base_config(
+        train={"algorithm": "GD", "eta": "auto", "alpha": 1.0, "total_steps": 10, "kappa": 2.0},
+        seeds=[0, 1],
+    )
+    cfg = _write(tmp_path, doc)
     out = tmp_path / "auto"
-    assert cli.main(["train", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["eta_resolved"][0] > 0
+    # each seed's rate: max_feasible_eta at that seed's initialization and c_f
+    config = cli.load_config(cfg)
+    ds, _ = cli.build_datasets(config)
+    want = []
+    for seed in (0, 1):
+        train_cfg = replace(config.train, seed=seed)
+        params0 = init_gaussian(config.spec, train_cfg.kappa, seed)
+        c_f = estimate_c_f(params0, ds.inputs)
+        want.append(max_feasible_eta(params0.norms(), config.spec, train_cfg, c_f, ds.c_y))
+    assert report["eta_resolved"] == want
+    assert want[0] != want[1] and min(want) > 0
 
 
 def test_train_gf_float_times(tmp_path):
@@ -464,6 +481,36 @@ def test_bound_rejects_negative_loss_naming_row(tmp_path, capsys):
     report_path = tmp_path / "r.json"
     assert cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)]) == 2
     assert capsys.readouterr().err == f"error: {csv}: column Ln_train is negative at data row 3\n"
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["ragged_row", "non_numeric_cell", "marker_not_a_number", "marker_without_step"],
+)
+def test_bound_rejects_malformed_csv_naming_line(tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, _base_config())
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    cells = lines[4].rstrip("\n").split(",")
+    lineno = 5
+    if edit == "ragged_row":
+        lines[4] = ",".join(cells[:3] + cells[4:]) + "\n"
+    elif edit == "non_numeric_cell":
+        cells[2] = "x" + cells[2]
+        lines[4] = ",".join(cells) + "\n"
+    else:
+        lines.append("# diverged at step x\n" if edit == "marker_not_a_number" else "# diverged at step\n")
+        lineno = len(lines)
+    csv.write_text("".join(lines))
+    capsys.readouterr()
+    report_path = tmp_path / "r.json"
+    assert cli.main(["bound", "--config", cfg, "--trajectory", str(csv), "--out", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: line {lineno}: "), err
+    assert err.count("\n") == 1
     assert not report_path.exists()
 
 
