@@ -7,6 +7,11 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
+# and bound on that trajectory with two configs that do not reproduce it,
+# the only runs of bound's recheck failure path (both exit 2):
+# configs/compare_sgld.json (SGLD on 128 points against the run's 256,
+# caught at bound_prefix row 0) and the toy config at loss_power 4
+# (caught at psi row 0);
 # train on bench/wide_gd.json, verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), and verify --seed 2 on rademacher, init-concentration,
@@ -14,7 +19,7 @@
 # and verify --seed 0 --inject-bug, the one run of the perturbed
 # homogeneity suite, which must exit 1 on the working tree; and train
 # --seed 5 on the toy config, the one run whose seed list the command line
-# replaces.  Nine more configs are
+# replaces.  Ten more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -30,7 +35,8 @@
 # each value as the JSON does; a two-seed lr sweep over a base config with
 # "eta": "auto" (sweep), whose values replace the resolved rate; and a
 # two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
-# (train), the one data section that is loaded and split.
+# (train), the one data section that is loaded and split; and
+# configs/toy_regression.json at loss_power 4 (bound, above).
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
@@ -127,6 +133,16 @@ EOF
   "seeds": [0, 1]
 }
 EOF
+    cat >"$1/toy_power4.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [16], "output_width": 16, "norm_exponent": 0.5},
+  "train": {"algorithm": "GD", "eta": 0.05, "alpha": 1.0, "t0": 1, "total_steps": 200, "kappa": 1.0,
+            "loss_power": 4},
+  "data": {"source": "synthetic", "kind": "regression", "n_train": 256, "n_test": 128, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "seeds": [0, 1, 2]
+}
+EOF
     cat >"$1/idx_sgd.json" <<'EOF'
 {
   "network": {"input_dim": 16, "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
@@ -170,6 +186,10 @@ run_side() {  # run_side TREE OUTDIR
         done
         gb bound_toy bound --config configs/toy_regression.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
+        gb bound_toy_as_sgld bound --config configs/compare_sgld.json \
+            --trajectory train_toy_regression/trajectory.csv --out bound_toy_as_sgld.json
+        gb bound_toy_power4 bound --config extra/toy_power4.json \
+            --trajectory train_toy_regression/trajectory.csv --out bound_toy_power4.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
         for stem in gf_power4 sgd_power4 cnn_sgld cnn_conv_only gd_diverge sgd_diverge; do
             gb "train_$stem" train --config "extra/$stem.json" --out "train_$stem"

@@ -3,8 +3,8 @@
 The potential psi(L_n) = sqrt(2 L_n) (C_y - sqrt(2 L_n)) is capped by
 C_y^2/4 and may go negative once the loss exceeds C_y^2/2.  Its
 2*eta_t-weighted sum along a trajectory (the integral of 2 psi dt for
-gradient flow) is the cumulative loss CL(T), which the training loop
-accumulates into the trajectory's cl column.  CL replaces the usual norm
+gradient flow) is the cumulative loss CL(T), which a Trajectory derives
+from its logged losses into its cl column.  CL replaces the usual norm
 product in the Rademacher complexity bound:
 
     complexity = C_{L,d} / (m^p sqrt(n))
@@ -49,8 +49,9 @@ def psi(ln, c_y: float, loss_power: int = 2):
     with max c_y^2/4 at ln = c_y^2/8; for the power-a loss |f-y|^a/a it is
     (a ln)^((a-1)/a) (c_y - (a ln)^(1/a)).  Accepts scalars or arrays;
     losses must be nonnegative.  The value is negative once ln > c_y^2/2
-    (at a = 2), and callers accumulate it signed.  A Python float stays in
-    float arithmetic, whose sqrt and pow give the bits of the array path.
+    (at a = 2), and callers accumulate it signed.  A Python float or 0-d
+    array gives the bits of float arithmetic; for a > 2 a 1-D array's pow
+    may differ in the last bit, so Trajectory computes psi per element.
     """
     if not (0.0 < c_y <= 1.0):
         raise ValueError("c_y must lie in (0, 1]")
@@ -144,6 +145,18 @@ def _theorem(algorithm: str, rho: float | None):
     return theorem, rho, 1.0 + rho
 
 
+def _ingredients(traj: "Trajectory", lam: float, delta: float, rho: float | None):
+    """Range-checks lam and delta; returns `_theorem`'s triple, v and the confidence term."""
+    if not (0.0 < lam < LAMBDA_MAX):
+        raise ValueError("lam must lie in (0, 1/sqrt(3))")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    theorem, rho, factor = _theorem(traj.algorithm, rho)
+    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
+    confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
+    return theorem, rho, factor, v, confidence
+
+
 def _complexity(spec: "NetworkSpec", v: np.ndarray, cl, n: int, factor: float):
     """Complexity term for a CL value, or for each entry of a CL series."""
     clp = np.maximum(np.asarray(cl, dtype=float), 0.0)[..., None]
@@ -169,17 +182,10 @@ def assemble_bound(
     to zero inside the product (flagged in the report) and kept raw
     alongside.
     """
-    spec = traj.spec
-    if not (0.0 < lam < LAMBDA_MAX):
-        raise ValueError("lam must lie in (0, 1/sqrt(3))")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    theorem, rho, factor = _theorem(traj.algorithm, rho)
-    n = traj.n_train
+    spec, n = traj.spec, traj.n_train
+    theorem, rho, factor, v, confidence = _ingredients(traj, lam, delta, rho)
     cl_value = float(traj.cl[-1])
-    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
     complexity = float(_complexity(spec, v, cl_value, n, factor))
-    confidence = math.sqrt(math.log(1.0 / delta) / n)
     bound_seed_mean = None
     if cl_seed_mean is not None:
         bound_seed_mean = float(_complexity(spec, v, cl_seed_mean, n, factor)) + confidence
@@ -215,9 +221,7 @@ def bound_series(
     rho: float | None = None,
 ) -> np.ndarray:
     """Bound value at every logged step, using the CL prefix up to it."""
-    _, _, factor = _theorem(traj.algorithm, rho)
-    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
-    confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
+    _, _, factor, v, confidence = _ingredients(traj, lam, delta, rho)
     return _complexity(traj.spec, v, traj.cl, traj.n_train, factor) + confidence
 
 

@@ -46,7 +46,7 @@ class DataConfig:
     n_train: int
     n_test: int
     noise_fraction: float
-    c_y: float
+    c_y: float | None  # None for synthetic regression, whose targets fix it
     seed: int
     images: str | None
     labels: str | None
@@ -211,14 +211,17 @@ def _parse(doc: dict) -> Config:
     )
 
     source = dd("source", _one_of("synthetic", "idx"), "synthetic")
+    kind = dd("kind", _one_of("regression", "classification"), "regression")
     idx_only = _REQUIRED if source == "idx" else None
+    # synthetic regression leaves c_y unread, so close() rejects the key
+    reads_c_y = source == "idx" or kind == "classification"
     data_config = DataConfig(
         source=source,
-        kind=dd("kind", _one_of("regression", "classification"), "regression"),
+        kind=kind,
         n_train=dd("n_train", _INT, 256),
         n_test=dd("n_test", _INT, 0),
         noise_fraction=dd("noise_fraction", _SHARE, 0.0),
-        c_y=dd("c_y", _NUMBER, _REQUIRED if source == "idx" else 0.25),
+        c_y=dd("c_y", _NUMBER, _REQUIRED if source == "idx" else 0.25) if reads_c_y else None,
         seed=dd("seed", _INT, 0),
         images=dd("images", _STR, idx_only),
         labels=dd("labels", _STR, idx_only),
@@ -273,10 +276,8 @@ def build_datasets(config: Config):
 
 @dataclass
 class RunResult:
-    seed: int
     eta: float
     trajectory: Trajectory
-    diverged: bool
 
 
 def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
@@ -285,10 +286,9 @@ def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
     if config.eta_auto:
         cfg = replace(cfg, eta=feasible_eta(config.spec, ds, cfg))
     try:
-        traj = train(config.spec, ds, cfg, ds_test)
-        return RunResult(seed, cfg.eta, traj, False)
+        return RunResult(cfg.eta, train(config.spec, ds, cfg, ds_test))
     except DivergenceError as exc:
-        return RunResult(seed, cfg.eta, exc.trajectory, True)
+        return RunResult(cfg.eta, exc.trajectory)
 
 
 def _run_all(runs: list, out_dir: str):
@@ -331,7 +331,7 @@ def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> Non
     if traj.algorithm == "GF":
         t_col = _fmt_col(traj.times)
     else:
-        t_col = list(map(str, traj.steps.astype(int).tolist()))
+        t_col = list(map(str, traj.steps.tolist()))
     named = (traj.eta, traj.ln_train, traj.ln_test, traj.psi, traj.cl)
     cols = [t_col] + [_fmt_col(col) for col in named]
     cols += [_fmt_col(traj.normsq[:, l]) for l in range(n_layers)] + [_fmt_col(series)]
@@ -342,14 +342,14 @@ def write_trajectory_csv(traj: Trajectory, series: np.ndarray, path: str) -> Non
             fh.write(f"# diverged at step {traj.diverged_at}\n")
 
 
-def read_trajectory_csv(path: str, config: Config) -> tuple[Trajectory, np.ndarray]:
-    """Rebuild a logged run and its bound_prefix column from its CSV.
+def read_trajectory_csv(path: str, config: Config) -> tuple[Trajectory, dict[str, np.ndarray]]:
+    """Rebuild a logged run from its CSV, with the CSV's psi, CL and bound_prefix columns.
 
-    The config supplies what the CSV omits.  The CSV carries no seed,
-    gradients, outputs or final parameters, so those fields are None.  A
-    trailing `# diverged at step N` marker sets diverged_at.  A marker
-    without a step count, a row with the wrong number of cells or a cell
-    that is not a number fails naming the file and its 1-based line.
+    The run's own psi and cl derive from its losses.  The config supplies
+    what the CSV omits; seed, gradients, outputs and final parameters are
+    None.  A trailing `# diverged at step N` marker sets diverged_at.  A
+    malformed marker, a row with the wrong number of cells or a cell that
+    is not a number fails naming the file and its 1-based line.
     """
     spec = config.spec
     diverged_at = None
@@ -389,24 +389,25 @@ def read_trajectory_csv(path: str, config: Config) -> tuple[Trajectory, np.ndarr
     normsq = np.stack(
         [arr[:, col[f"normsq_{l + 1}"]] for l in range(spec.n_layers)], axis=1
     )
+    ln_train = arr[:, col["Ln_train"]]
+    negative = np.flatnonzero(ln_train < 0.0)
+    if negative.size:
+        raise ValueError(f"{path}: column Ln_train is negative at data row {negative[0]}")
     ds, _ = build_datasets(config)
     traj = Trajectory(
         algorithm=config.train.algorithm,
         spec=spec,
-        steps=np.arange(arr.shape[0]),
         times=arr[:, col["t"]],
         eta=arr[:, col["eta_t"]],
-        ln_train=arr[:, col["Ln_train"]],
+        ln_train=ln_train,
         ln_test=arr[:, col["Ln_test"]],
-        psi=arr[:, col["psi"]],
-        cl=arr[:, col["CL"]],
         normsq=normsq,
         c_y=ds.c_y,
         loss_power=config.train.loss_power,
         n_train=ds.n,
         diverged_at=diverged_at,
     )
-    return traj, arr[:, col["bound_prefix"]]
+    return traj, {name: arr[:, col[name]] for name in ("psi", "CL", "bound_prefix")}
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -436,8 +437,9 @@ def cmd_train(args) -> int:
         for i, res in enumerate(results)
     ]
     report, series = assembled[0]
+    diverged = [res.trajectory.diverged_at is not None for res in results]
     for i, (res, (_, res_series)) in enumerate(zip(results, assembled)):
-        name = "trajectory.csv" if i == 0 else f"trajectory_seed{res.seed}.csv"
+        name = "trajectory.csv" if i == 0 else f"trajectory_seed{res.trajectory.seed}.csv"
         write_trajectory_csv(res.trajectory, res_series, os.path.join(out_dir, name))
     payload = report.to_dict()
     payload.update(
@@ -451,7 +453,7 @@ def cmd_train(args) -> int:
                 else None
             ),
             "max_abs_f": primary.trajectory.max_abs_f,
-            "diverged": [res.diverged for res in results],
+            "diverged": diverged,
         }
     )
     _dump_json(payload, os.path.join(out_dir, "report.json"))
@@ -467,7 +469,7 @@ def cmd_train(args) -> int:
         )
         with open(os.path.join(out_dir, "chart.svg"), "w") as fh:
             fh.write(chart)
-    if any(res.diverged for res in results):
+    if any(diverged):
         print("training diverged; partial trajectory written", file=sys.stderr)
         return 1
     print(f"bound {report.bound:.6g} (CL {report.cl:.6g}) -> {out_dir}")
@@ -478,22 +480,12 @@ def cmd_bound(args) -> int:
     config = load_config(args.config)
     traj, logged = read_trajectory_csv(args.trajectory, config)
     report, series = _assemble(config, traj)
-    negative = np.flatnonzero(traj.ln_train < 0.0)
-    if negative.size:
-        raise ValueError(f"{args.trajectory}: column Ln_train is negative at data row {negative[0]}")
-    # psi and CL as the training loop computes them: psi of each logged loss as a
-    # Python float, CL the prefix sum of 2*eta*psi, or for GF the trapezoid over t
-    psi = np.array([bnd.psi(float(ln), traj.c_y, traj.loss_power) for ln in traj.ln_train])
-    if traj.algorithm == "GF":
-        terms = (psi[:-1] + psi[1:]) * np.diff(traj.times)
-    else:
-        terms = 2.0 * traj.eta[:-1] * psi[:-1]
-    cl = np.cumsum(np.concatenate(([0.0], terms)))
-    for name, what, csv_col, want, depends in (
-        ("psi", "psi", traj.psi, psi, "Ln_train, c_y (data section) and loss_power"),
-        ("CL", "CL", traj.cl, cl, "psi, eta and the algorithm"),
-        ("bound_prefix", "bound", logged, series, "n, lam, delta, rho, the algorithm and the network"),
+    for name, what, want, depends in (
+        ("psi", "psi", traj.psi, "Ln_train, c_y (data section) and loss_power"),
+        ("CL", "CL", traj.cl, "psi, eta and the algorithm"),
+        ("bound_prefix", "bound", series, "n, lam, delta, rho, the algorithm and the network"),
     ):
+        csv_col = logged[name]
         same = (want == csv_col) | (np.isnan(want) & np.isnan(csv_col))
         if not same.all():
             row = int(np.argmin(same))
@@ -618,7 +610,7 @@ def cmd_sweep(args) -> int:
         bound_mean = float(np.mean([r.bound for r, _ in assembled]))
         cells = [_fmt(report.cl), _fmt(report.bound), _fmt(cl_mean), _fmt(bound_mean)]
         rows.append(",".join([axis, str(value)] + cells) + "\n")
-        diverged = diverged or any(res.diverged for res in value_results)
+        diverged = diverged or any(res.trajectory.diverged_at is not None for res in value_results)
         del value_results, assembled, series  # the next value's runs need not hold these
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:

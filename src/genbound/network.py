@@ -47,6 +47,7 @@ class NetworkSpec:
     fc_widths: widths of the fully-connected hidden layers after the convs.
     output_width: m, width of the last hidden layer feeding the readout.
     norm_exponent: p in the output scaling 1/m**p.
+    Derived: widths m_0..m_L and layer_shapes, (s,), (m_in, m_out) or (m,).
     """
 
     input_dim: int
@@ -55,6 +56,7 @@ class NetworkSpec:
     output_width: int = 1
     norm_exponent: float = 0.0
     widths: tuple[int, ...] = field(init=False)
+    layer_shapes: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "conv_kernels", tuple(int(s) for s in self.conv_kernels))
@@ -94,6 +96,9 @@ class NetworkSpec:
         if self.conv_kernels and span > self.input_dim:
             raise ValueError("conv stack exceeds the input length")
         object.__setattr__(self, "widths", tuple(widths))
+        fc_in = widths[len(self.conv_kernels) :]
+        shapes = [(s,) for s in self.conv_kernels] + list(zip(fc_in[:-1], fc_in[1:]))
+        object.__setattr__(self, "layer_shapes", (*shapes, (self.output_width,)))
 
     @property
     def n_conv(self) -> int:
@@ -118,19 +123,9 @@ class NetworkSpec:
         """1/m**p applied to the readout."""
         return float(self.output_width) ** (-self.norm_exponent)
 
-    def layer_shapes(self) -> list[tuple[int, ...]]:
-        shapes: list[tuple[int, ...]] = []
-        for l in range(1, self.n_hidden + 1):
-            if l <= self.n_conv:
-                shapes.append((self.conv_kernels[l - 1],))
-            else:
-                shapes.append((self.widths[l - 1], self.widths[l]))
-        shapes.append((self.output_width,))
-        return shapes
-
     def layer_sizes(self) -> list[int]:
         """q(l), the parameter count of each layer."""
-        return [math.prod(s) for s in self.layer_shapes()]
+        return [math.prod(s) for s in self.layer_shapes]
 
 
 @dataclass
@@ -145,7 +140,7 @@ class Parameters:
     layers: list[np.ndarray]
 
     def __post_init__(self):
-        shapes = self.spec.layer_shapes()
+        shapes = self.spec.layer_shapes
         if len(self.layers) != len(shapes):
             raise ValueError(f"expected {len(shapes)} layers, got {len(self.layers)}")
         for i, (arr, shape) in enumerate(zip(self.layers, shapes)):
@@ -191,7 +186,7 @@ def init_gaussian(spec: NetworkSpec, kappa: float, seed: int | np.random.Generat
         raise ValueError("kappa must be positive")
     rng = np.random.default_rng(seed)
     layers = []
-    for shape in spec.layer_shapes():
+    for shape in spec.layer_shapes:
         layers.append(rng.normal(0.0, kappa / math.sqrt(math.prod(shape)), size=shape))
     return Parameters(spec, layers)
 

@@ -1,8 +1,8 @@
 """Training loops (GF, GD, SGD, SGLD) with full trajectory logging.
 
-Every step logs the full-data loss, the potential psi, the running
-cumulative loss CL, and per-layer squared parameter norms; those columns
-are exactly what the bound assembly and the norm-dynamics checks consume.
+Every step logs the full-data loss and per-layer squared parameter norms,
+from which `Trajectory` derives psi and the cumulative loss CL: the columns
+the bound assembly and the norm-dynamics checks consume.
 The learning-rate schedule is eta_t = eta / ceil((t+1)/T0)**alpha, and the
 feasibility threshold `max_feasible_eta` gives the largest base rate the
 norm-growth guarantee supports.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,25 +129,22 @@ class TrainConfig:
 class Trajectory:
     """Logged run: one row per step t = 0..T plus per-transition data.
 
+    psi and cl are derived, not passed in: psi[t] = psi(ln_train[t]), and
     cl[t] is the prefix sum of 2*eta_s*psi_s for s < t, so cl[0] = 0 and
-    cl[-1] is the realized cumulative loss CL(T) that the bound reads.
-    gradsq has one row per transition (the per-layer squared gradient norms
-    used by the update).  For GF, `steps` counts Euler substeps, times =
-    steps*h, eta[t] = h, and cl[t] is instead the trapezoid integral of
-    2*psi dt over times[:t+1].
-    A trajectory read back from a CSV has no seed, gradsq, max_abs_f or
-    final_params; those fields are None.
+    cl[-1] is the realized cumulative loss CL(T) that the bound reads.  For
+    GF, steps counts Euler substeps, times = steps*h, eta[t] = h, and cl[t]
+    is instead the trapezoid integral of 2*psi dt over times[:t+1].  gradsq
+    has one row per transition (the per-layer squared gradient norms used
+    by the update).  A trajectory read back from a CSV has no seed, gradsq,
+    max_abs_f or final_params; those fields are None.
     """
 
     algorithm: str
     spec: NetworkSpec
-    steps: np.ndarray
     times: np.ndarray
     eta: np.ndarray
     ln_train: np.ndarray
     ln_test: np.ndarray
-    psi: np.ndarray
-    cl: np.ndarray
     normsq: np.ndarray
     c_y: float
     loss_power: int
@@ -157,6 +154,21 @@ class Trajectory:
     max_abs_f: float | None = None
     final_params: Parameters | None = None
     diverged_at: int | None = None
+    psi: np.ndarray = field(init=False)
+    cl: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # per element on Python floats: see `psi` on the array path's bits
+        self.psi = np.array([psi(ln, self.c_y, self.loss_power) for ln in self.ln_train.tolist()])
+        if self.algorithm == "GF":
+            terms = (self.psi[:-1] + self.psi[1:]) * np.diff(self.times)
+        else:
+            terms = 2.0 * self.eta[:-1] * self.psi[:-1]
+        self.cl = np.cumsum(np.concatenate(([0.0], terms)))
+
+    @property
+    def steps(self) -> np.ndarray:
+        return np.arange(self.ln_train.shape[0])
 
     @property
     def has_test(self) -> bool:
@@ -344,25 +356,21 @@ def train(
     else:
         batches = itertools.repeat(None)
     # row t of each column is written in place; gradsq has a row per transition
-    steps = np.arange(n_steps + 1)
-    times = steps * h
-    eta, ln_train, psi_col, cl = (np.empty(n_steps + 1) for _ in range(4))
+    times = np.arange(n_steps + 1) * h
+    eta, ln_train = np.empty(n_steps + 1), np.empty(n_steps + 1)
     ln_test = np.full(n_steps + 1, math.nan)
     normsq = np.empty((n_steps + 1, spec.n_layers))
     gradsq = np.empty((n_steps, spec.n_layers))
-    cl_running = max_abs_f = 0.0
+    max_abs_f = 0.0
 
     def trajectory(rows: int, diverged_at=None) -> Trajectory:
         return Trajectory(
             algorithm=config.algorithm,
             spec=spec,
-            steps=steps[:rows],
             times=times[:rows],
             eta=eta[:rows],
             ln_train=ln_train[:rows],
             ln_test=ln_test[:rows],
-            psi=psi_col[:rows],
-            cl=cl[:rows],
             normsq=normsq[:rows],
             c_y=dataset.c_y,
             loss_power=config.loss_power,
@@ -392,13 +400,7 @@ def train(
         if test_dataset is not None:
             ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
             max_abs_f = max(max_abs_f, float(np.abs(f_te).max()))
-        psi_t = psi(ln, dataset.c_y, config.loss_power)
-        if t > 0:
-            if config.algorithm == "GF":
-                cl_running += (psi_col[t - 1] + psi_t) * (times[t] - times[t - 1])
-            else:
-                cl_running += 2.0 * eta[t - 1] * psi_col[t - 1]
-        eta[t], ln_train[t], psi_col[t], cl[t] = eta_t, ln, psi_t, cl_running
+        eta[t], ln_train[t] = eta_t, ln
         norms = _sq_norms(params.layers, normsq[t])
         if not math.isfinite(ln) or ln > _LOSS_CAP or not np.isfinite(norms).all():
             raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))

@@ -228,7 +228,7 @@ def init_gaussian_reference(spec, kappa: float, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [
         rng.normal(0.0, kappa / np.sqrt(int(np.prod(shape))), size=shape)
-        for shape in spec.layer_shapes()
+        for shape in spec.layer_shapes
     ]
 
 

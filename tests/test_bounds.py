@@ -27,19 +27,14 @@ def _hand_trajectory(algorithm, eta, ln, c_y=1.0, times=None):
     eta = np.asarray(eta, dtype=float)
     ln = np.asarray(ln, dtype=float)
     k = eta.shape[0]
-    psis = psi(ln, c_y)
-    cl = cl_resum(eta, psis)
     return Trajectory(
         algorithm=algorithm,
         spec=spec,
         seed=0,
-        steps=np.arange(k),
         times=np.arange(k, dtype=float) if times is None else np.asarray(times, dtype=float),
         eta=eta,
         ln_train=ln,
         ln_test=np.full(k, np.nan),
-        psi=np.asarray(psis, dtype=float),
-        cl=cl,
         normsq=np.tile(np.array([1.0, 1.0]), (k, 1)),
         gradsq=np.zeros((k - 1, 2)),
         c_y=c_y,
@@ -116,6 +111,7 @@ def test_cl_discrete_hand_example():
     # one transition at eta=0.1 with psi=1/4 (ln = c_y^2/8, c_y=1): CL = 0.05
     traj = _hand_trajectory("GD", [0.1, 0.05], [0.125, 0.125])
     np.testing.assert_allclose(traj.cl, [0.0, 0.05], atol=1e-15)
+    np.testing.assert_array_equal(traj.cl, cl_resum(traj.eta, psi(traj.ln_train, 1.0)))
     # the bound reads the trajectory's cl column
     assert assemble_bound(traj, lam=0.5).cl == float(traj.cl[-1])
 
@@ -211,7 +207,9 @@ def test_assemble_bound_negative_cl_clamped():
     rep = assemble_bound(traj, lam=0.5)
     assert rep.cl < 0.0
     assert rep.cl_clamped
-    zero = assemble_bound(dataclasses.replace(traj, cl=np.zeros(4)), lam=0.5)
+    # a loss of c_y^2/2 gives psi = 0 exactly, so CL = 0
+    zero = assemble_bound(dataclasses.replace(traj, ln_train=np.full(4, 0.5)), lam=0.5)
+    assert zero.cl == 0.0
     assert rep.complexity == pytest.approx(zero.complexity, rel=1e-12)
 
 
@@ -256,6 +254,23 @@ def test_assemble_bound_validation():
         assemble_bound(dataclasses.replace(traj, algorithm="ADAM"), lam=0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lam": 0.0}, "lam must lie in"),
+        ({"lam": 1.0}, "lam must lie in"),
+        ({"lam": 0.5, "delta": 1.5}, "delta must lie in"),
+        ({"lam": 0.5, "delta": 0.0}, "delta must lie in"),
+    ],
+)
+def test_bound_series_checks_ranges_as_assemble_bound(kwargs, message):
+    traj = _hand_trajectory("GD", [0.1] * 5, [0.125] * 5)
+    with pytest.raises(ValueError, match=message):
+        assemble_bound(traj, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        bound_series(traj, **kwargs)
+
+
 def test_bound_series_prefix_consistency():
     ds = synth_regression(64, seed=1)
     traj = train(_SMALL_SPEC, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0))
@@ -263,7 +278,10 @@ def test_bound_series_prefix_consistency():
     assert series.shape == traj.steps.shape
     rep = assemble_bound(traj, lam=0.5, delta=0.05)
     assert series[-1] == pytest.approx(rep.bound, rel=1e-12)
-    first = assemble_bound(dataclasses.replace(traj, cl=np.zeros_like(traj.cl)), lam=0.5, delta=0.05)
+    # a loss of c_y^2/2 gives psi = 0 exactly, so CL = 0 at the last row as at the first
+    zero_loss = np.full_like(traj.ln_train, traj.c_y * traj.c_y / 2.0)
+    first = assemble_bound(dataclasses.replace(traj, ln_train=zero_loss), lam=0.5, delta=0.05)
+    assert first.cl == 0.0
     assert series[0] == pytest.approx(first.bound, rel=1e-12)
     # positive psi makes the prefix bound nondecreasing
     if np.all(traj.psi >= 0):

@@ -58,6 +58,18 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "learning_rate" in err and "train" in err
 
 
+@pytest.mark.parametrize("c_y", [7.0, 0.5])
+def test_c_y_rejected_for_synthetic_regression(tmp_path, capsys, c_y):
+    # synthetic regression targets fix c_y, so the key would do nothing
+    doc = _base_config(data={"c_y": c_y})
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown key 'c_y' in section 'data'\n"
+    assert not out.exists()
+    # classification and IDX data keep the key
+    assert cli.load_config(_write(tmp_path, _base_config(data={"kind": "classification", "c_y": c_y}))).data.c_y == c_y
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     doc = _base_config()
     doc["trainer"] = {}
@@ -232,7 +244,9 @@ def test_bound_recompute_matches_train(tmp_path, train_section):
     config = cli.load_config(cfg)
     traj, logged = cli.read_trajectory_csv(str(out / "trajectory.csv"), config)
     _, series = cli._assemble(config, traj)
-    assert series.tolist() == logged.tolist() == _csv_column(out / "trajectory.csv", "bound_prefix")
+    # the reader derives psi and CL from the losses and returns the logged columns by name
+    for name, derived in (("psi", traj.psi), ("CL", traj.cl), ("bound_prefix", series)):
+        assert derived.tolist() == logged[name].tolist() == _csv_column(out / "trajectory.csv", name)
 
 
 @pytest.mark.parametrize(
@@ -291,8 +305,9 @@ def test_trajectory_csv_matches_per_cell_writer(tmp_path, train_section, n_test)
     got = _read_bytes(tmp_path / "by_column.csv")
     assert got == _read_bytes(tmp_path / "by_cell.csv")
     assert (b",nan," in got) == (n_test == 0)
-    assert result.diverged == (train_section["algorithm"] == "SGLD")
-    assert got.endswith(b"# diverged at step 1\n") == result.diverged
+    diverged = result.trajectory.diverged_at is not None
+    assert diverged == (train_section["algorithm"] == "SGLD")
+    assert got.endswith(b"# diverged at step 1\n") == diverged
 
 
 def _fc_network(widths):

@@ -364,7 +364,7 @@ def test_init_gaussian_matches_numpy_reference_bitwise(cnn, kappa, seed):
     got = init_gaussian(spec, kappa, seed).layers
     want = init_gaussian_reference(spec, kappa, seed)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-    assert spec.layer_sizes() == [int(np.prod(s)) for s in spec.layer_shapes()]
+    assert spec.layer_sizes() == [int(np.prod(s)) for s in spec.layer_shapes]
 
 
 @settings(max_examples=60, deadline=None)
