@@ -19,7 +19,7 @@
 # and verify --seed 0 --inject-bug, the one run of the perturbed
 # homogeneity suite, which must exit 1 on the working tree; and train
 # --seed 5 on the toy config, the one run whose seed list the command line
-# replaces.  Ten more configs are
+# replaces.  Eleven more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -36,7 +36,9 @@
 # "eta": "auto" (sweep), whose values replace the resolved rate; and a
 # two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
 # (train), the one data section that is loaded and split; and
-# configs/toy_regression.json at loss_power 4 (bound, above).
+# configs/toy_regression.json at loss_power 4 (bound, above); and
+# configs/compare_sgld.json at eta 50, whose beta=10 SGLD run diverges at
+# step 3 (compare, which exits 1 from the working tree).
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
 # and their outputs go; they are removed on exit.
 set -euo pipefail
@@ -153,6 +155,10 @@ EOF
   "seeds": [0, 1]
 }
 EOF
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["train"]["eta"] = 50
+json.dump(doc, open(sys.argv[2], "w"), indent=2)' "$repo/configs/compare_sgld.json" "$1/compare_diverge.json"
 }
 
 run_side() {  # run_side TREE OUTDIR
@@ -198,6 +204,7 @@ run_side() {  # run_side TREE OUTDIR
             gb "bound_$stem" bound --config "extra/$stem.json" \
                 --trajectory "train_$stem/trajectory.csv" --out "bound_$stem.json"
         done
+        gb compare_diverge compare --config extra/compare_diverge.json --out compare_diverge
         gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
         gb sweep_lr sweep --config extra/lr_sweep.json --out sweep_lr
         gb gen_idx gen-data --kind idx-fixture --n 80 --seed 1 --out idx_fixture

@@ -4,15 +4,17 @@ The potential psi(L_n) = sqrt(2 L_n) (C_y - sqrt(2 L_n)) is capped by
 C_y^2/4 and may go negative once the loss exceeds C_y^2/2.  Its
 2*eta_t-weighted sum along a trajectory (the integral of 2 psi dt for
 gradient flow) is the cumulative loss CL(T), which a Trajectory derives
-from its logged losses into its cl column.  CL replaces the usual norm
-product in the Rademacher complexity bound:
+from its logged losses into its cl column.  CL sets the radii Q_l of the
+norm ball whose Rademacher complexity enters the bound:
 
-    complexity = C_{L,d} / (m^p sqrt(n))
-                 * prod_l sqrt((1 + 3 lam^2) ||layer_l(0)||^2 + max(CL, 0))
+    complexity = C_{L,d} / (m^p sqrt(n)) * prod_l Q_l,
+    Q_l = sqrt((1 + 3 lam^2) ||layer_l(0)||^2 + max(CL, 0)),
 
 with an extra (1 + rho) on both summands for minibatch trajectories, plus
-a sqrt(log(1/delta)/n) confidence term.  Hidden absolute constants are
-reported as 1.  A separate information-theoretic bound covers SGLD.
+a sqrt(log(1/delta)/n) confidence term.  `assemble_bound` evaluates it at
+every CL prefix, and the checks bound their estimates by the same ball
+function.  Hidden absolute constants are reported as 1.  A separate
+information-theoretic bound covers SGLD.
 """
 
 from __future__ import annotations
@@ -145,24 +147,10 @@ def _theorem(algorithm: str, rho: float | None):
     return theorem, rho, 1.0 + rho
 
 
-def _ingredients(traj: "Trajectory", lam: float, delta: float, rho: float | None):
-    """Range-checks lam and delta; returns `_theorem`'s triple, v and the confidence term."""
-    if not (0.0 < lam < LAMBDA_MAX):
-        raise ValueError("lam must lie in (0, 1/sqrt(3))")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    theorem, rho, factor = _theorem(traj.algorithm, rho)
-    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
-    confidence = math.sqrt(math.log(1.0 / delta) / traj.n_train)
-    return theorem, rho, factor, v, confidence
-
-
-def _complexity(spec: "NetworkSpec", v: np.ndarray, cl, n: int, factor: float):
-    """Complexity term for a CL value, or for each entry of a CL series."""
-    clp = np.maximum(np.asarray(cl, dtype=float), 0.0)[..., None]
+def _norm_ball_complexity(spec: "NetworkSpec", radii, n: int):
+    """C_{L,d} / (m^p sqrt(n)) * prod_l radii_l over the last axis: the complexity of that ball."""
     const = rademacher_constant(spec.n_hidden, spec.input_dim, spec.kind)
-    prod = np.prod(np.sqrt(factor * (v + clp)), axis=-1)
-    return const * spec.out_scale / math.sqrt(n) * prod
+    return const * spec.out_scale / math.sqrt(n) * np.prod(radii, axis=-1)
 
 
 def assemble_bound(
@@ -171,24 +159,35 @@ def assemble_bound(
     delta: float = 0.05,
     rho: float | None = None,
     cl_seed_mean: float | None = None,
-) -> BoundReport:
-    """Build the bound report for a logged trajectory at its final CL.
+) -> tuple[BoundReport, np.ndarray]:
+    """(report, series): a logged trajectory's bound at every CL prefix, reported at the last.
 
     The theorem follows the trajectory's algorithm (GF, GD, SGD); SGLD runs
     are assembled under the full-batch tag.  rho > 0 is required for SGD
     and scales both the init-norm and CL summands by (1 + rho); it is
-    ignored (and reported as None) under the other theorems.  CL is the
-    last entry of the trajectory's cl column; a negative value is clamped
-    to zero inside the product (flagged in the report) and kept raw
-    alongside.
+    ignored (and reported as None) under the other theorems.  A negative
+    CL is clamped to zero inside the product (flagged in the report) and
+    kept raw alongside.
     """
+    if not (0.0 < lam < LAMBDA_MAX):
+        raise ValueError("lam must lie in (0, 1/sqrt(3))")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    theorem, rho, factor = _theorem(traj.algorithm, rho)
     spec, n = traj.spec, traj.n_train
-    theorem, rho, factor, v, confidence = _ingredients(traj, lam, delta, rho)
-    cl_value = float(traj.cl[-1])
-    complexity = float(_complexity(spec, v, cl_value, n, factor))
+    v = (1.0 + 3.0 * lam * lam) * np.asarray(traj.normsq[0], dtype=float)
+    confidence = math.sqrt(math.log(1.0 / delta) / n)
+
+    def complexity(cl):  # for a CL value, or for each entry of a CL series
+        clp = np.maximum(np.asarray(cl, dtype=float), 0.0)[..., None]
+        return _norm_ball_complexity(spec, np.sqrt(factor * (v + clp)), n)
+
+    complexities = complexity(traj.cl)
+    series = complexities + confidence
     bound_seed_mean = None
     if cl_seed_mean is not None:
-        bound_seed_mean = float(_complexity(spec, v, cl_seed_mean, n, factor)) + confidence
+        bound_seed_mean = float(complexity(cl_seed_mean)) + confidence
+    cl_value = float(traj.cl[-1])
     return BoundReport(
         theorem=theorem,
         algorithm=traj.algorithm,
@@ -207,22 +206,16 @@ def assemble_bound(
         cl=cl_value,
         cl_clamped=cl_value < 0.0,
         cl_seed_mean=cl_seed_mean,
-        complexity=complexity,
+        complexity=float(complexities[-1]),
         confidence=confidence,
-        bound=complexity + confidence,
+        bound=float(series[-1]),
         bound_seed_mean=bound_seed_mean,
-    )
+    ), series
 
 
-def bound_series(
-    traj: "Trajectory",
-    lam: float,
-    delta: float = 0.05,
-    rho: float | None = None,
-) -> np.ndarray:
-    """Bound value at every logged step, using the CL prefix up to it."""
-    _, _, factor, v, confidence = _ingredients(traj, lam, delta, rho)
-    return _complexity(traj.spec, v, traj.cl, traj.n_train, factor) + confidence
+def bound_series(traj: "Trajectory", lam: float, delta: float = 0.05, rho: float | None = None):
+    """Bound value at every logged step, using the CL prefix up to it: `assemble_bound`'s series."""
+    return assemble_bound(traj, lam, delta, rho)[1]
 
 
 def sgld_bound(loss_bound: float, lip: float, beta: float, n: int, eta_sum: float) -> float:

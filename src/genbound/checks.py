@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import psi, rademacher_constant
+from .bounds import _norm_ball_complexity, psi
 from .data import Dataset, synth_regression
 from .network import (
     NetworkSpec,
@@ -286,13 +286,7 @@ def mc_rademacher_lower(
         F[hi] = batch_outputs(Parameters._unchecked(spec, layers), X)
     sigma = rng.choice([-1.0, 1.0], size=(sigma_samples, n))
     estimate = float(np.mean(np.max(sigma @ F.T, axis=1))) / n
-    upper = (
-        rademacher_constant(spec.n_hidden, spec.input_dim, spec.kind)
-        * spec.out_scale
-        / math.sqrt(n)
-        * float(np.prod(Q))
-    )
-    return estimate, upper
+    return estimate, float(_norm_ball_complexity(spec, Q, n))
 
 
 def exhaustive_rademacher_tiny(q1: float, q2: float, grid: int = 4096) -> tuple[float, float]:
@@ -313,7 +307,7 @@ def exhaustive_rademacher_tiny(q1: float, q2: float, grid: int = 4096) -> tuple[
         for s2 in (-1.0, 1.0):
             total += np.max(s1 * outs[0] + s2 * outs[1])
     estimate = total / 4.0 / 2.0
-    upper = rademacher_constant(1, 2, "FNN") / math.sqrt(2.0) * q1 * q2
+    upper = _norm_ball_complexity(spec, np.array([q1, q2]), X.shape[0])
     return float(estimate), float(upper)
 
 

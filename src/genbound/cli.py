@@ -113,10 +113,13 @@ def _beta(v) -> float:
 
 
 _INT = ("an integer", _is_int, int)
+_COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0, int)
+_POSITIVE_INT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
 _NUMBER = ("a number", _is_number, float)
 _POSITIVE = _between(0.0, math.inf)
 _FRACTION = _between(0.0, 1.0)
 _SHARE = ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
+_C_Y = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, float)
 _BOOL = ("true or false", lambda v: type(v) is bool, bool)
 _STR = ("a string", lambda v: type(v) is str, str)
 _OBJECT = ("an object", lambda v: type(v) is dict, dict)
@@ -218,11 +221,11 @@ def _parse(doc: dict) -> Config:
     data_config = DataConfig(
         source=source,
         kind=kind,
-        n_train=dd("n_train", _INT, 256),
-        n_test=dd("n_test", _INT, 0),
+        n_train=dd("n_train", _POSITIVE_INT, 256),
+        n_test=dd("n_test", _COUNT, 0),
         noise_fraction=dd("noise_fraction", _SHARE, 0.0),
-        c_y=dd("c_y", _NUMBER, _REQUIRED if source == "idx" else 0.25) if reads_c_y else None,
-        seed=dd("seed", _INT, 0),
+        c_y=dd("c_y", _C_Y, _REQUIRED if source == "idx" else 0.25) if reads_c_y else None,
+        seed=dd("seed", _COUNT, 0),
         images=dd("images", _STR, idx_only),
         labels=dd("labels", _STR, idx_only),
         keep=dd("keep", _INTS, idx_only),
@@ -417,10 +420,8 @@ def _dump_json(payload: dict, path: str) -> None:
 
 
 def _assemble(config: Config, traj: Trajectory, cl_seed_mean=None):
-    lam, delta, rho = config.train.lam, config.delta, config.rho
-    report = bnd.assemble_bound(traj, lam, delta, rho=rho, cl_seed_mean=cl_seed_mean)
-    series = bnd.bound_series(traj, lam, delta, rho=rho)
-    return report, series
+    """`assemble_bound`'s (report, series) under the config's bound section."""
+    return bnd.assemble_bound(traj, config.train.lam, config.delta, config.rho, cl_seed_mean)
 
 
 def cmd_train(args) -> int:
@@ -536,9 +537,10 @@ def cmd_compare(args) -> int:
     ]
     out_dir = args.out or config.output_dir
     results = _run_all([(variant, seed) for variant in variants], out_dir)
-    rows = []
+    rows, diverged = [], False
     for variant, res in zip(variants, results):
         traj = res.trajectory
+        diverged = diverged or traj.diverged_at is not None
         report, _ = _assemble(config, traj)
         beta = variant.train.beta
         eta_sum = float(np.sum(traj.eta[:-1]))
@@ -550,6 +552,9 @@ def cmd_compare(args) -> int:
         fh.write("algorithm,beta,cl,bound_cl,bound_info\n")
         fh.writelines(rows)
     print(f"compare table -> {path}")
+    if diverged:
+        print("at least one compare run diverged", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -281,29 +281,23 @@ def max_feasible_eta(
     mp = 1.0 / spec.out_scale
     depth_gain = float(L) ** ((L - 1) / 2.0)
     lam_growth = (1.0 + 3.0 * lam * lam) ** (L / 2.0)
+    # the alpha-dependent terms of t2 and t3; alpha = 1 takes the epsilon-shifted form
+    if alpha == 1.0:
+        eps = config.epsilon if config.epsilon is not None else 1.0 / (L + 1)
+        power, gap, decay = eps, eps, (1.0 + eps) / 2.0
+    else:
+        power, gap, decay = alpha, (L + 2) * alpha - (L + 1), ((L + 2) * alpha - L) / 2.0
     best = math.inf
     for norm0 in init_norms:
         t1 = lam * mp * depth_gain / ((c_f + c_y) * norm0 ** (L - 1))
-        if alpha == 1.0:
-            eps = config.epsilon if config.epsilon is not None else 1.0 / (L + 1)
-            t2 = 2.0 * (1.0 - eps) * lam * lam * norm0 * norm0 / (c_y * c_y * t0)
-            t3 = (
-                lam
-                * mp
-                * depth_gain
-                * math.sqrt(eps)
-                / ((c_f + c_y) * t0 ** ((1.0 + eps) / 2.0) * lam_growth * norm0 ** (L - 1))
-            )
-        else:
-            gap = (L + 2) * alpha - (L + 1)
-            t2 = 2.0 * (1.0 - alpha) * lam * lam * norm0 * norm0 / (c_y * c_y * t0)
-            t3 = (
-                lam
-                * mp
-                * depth_gain
-                * math.sqrt(gap)
-                / ((c_f + c_y) * t0 ** (((L + 2) * alpha - L) / 2.0) * lam_growth * norm0 ** (L - 1))
-            )
+        t2 = 2.0 * (1.0 - power) * lam * lam * norm0 * norm0 / (c_y * c_y * t0)
+        t3 = (
+            lam
+            * mp
+            * depth_gain
+            * math.sqrt(gap)
+            / ((c_f + c_y) * t0 ** decay * lam_growth * norm0 ** (L - 1))
+        )
         best = min(best, t1, t2, t3)
     return best
 

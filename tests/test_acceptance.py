@@ -208,13 +208,13 @@ def test_criterion_10_noise_comparison_table():
         cfg = TrainConfig(algorithm="SGLD", eta=0.05, alpha=1.0, t0=50,
                           total_steps=300, seed=0, beta=beta)
         traj = train(spec, ds, cfg)
-        rep = assemble_bound(traj, lam=0.5)
+        rep, _ = assemble_bound(traj, lam=0.5)
         eta_sum = float(np.sum(traj.eta[:-1]))
         info_values.append(sgld_bound(0.25, 1.0, beta, ds.n, eta_sum=eta_sum))
         cl_bounds.append(rep.bound)
     gd_traj = train(spec, ds, TrainConfig(algorithm="GD", eta=0.05, alpha=1.0, t0=50,
                                           total_steps=300, seed=0))
-    gd_rep = assemble_bound(gd_traj, lam=0.5)
+    gd_rep, _ = assemble_bound(gd_traj, lam=0.5)
     gd_info = sgld_bound(0.25, 1.0, math.inf, ds.n, eta_sum=float(np.sum(gd_traj.eta[:-1])))
     increasing = all(a < b for a, b in zip(info_values, info_values[1:]))
     finite_cl = all(map(math.isfinite, cl_bounds + [gd_rep.bound]))
@@ -240,7 +240,7 @@ def test_criterion_11_width_lr_grid_feasible_and_stable():
             eta_star = max_feasible_eta(params0.norms(), spec, cfg, c_f, ds.c_y)
             all_feasible = all_feasible and eta <= eta_star
             traj = train(spec, ds, cfg)
-            bounds.append(assemble_bound(traj, lam=0.5).bound)
+            bounds.append(assemble_bound(traj, lam=0.5)[0].bound)
     spread = max(bounds) / min(bounds)
     ok = all_feasible and spread < 3.0
     _line(11, "width/lr grid all feasible with stable bounds", ok,

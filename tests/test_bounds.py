@@ -8,6 +8,7 @@ import pytest
 
 from genbound.bounds import (
     LAMBDA_MAX,
+    _norm_ball_complexity,
     assemble_bound,
     bound_series,
     psi,
@@ -113,7 +114,7 @@ def test_cl_discrete_hand_example():
     np.testing.assert_allclose(traj.cl, [0.0, 0.05], atol=1e-15)
     np.testing.assert_array_equal(traj.cl, cl_resum(traj.eta, psi(traj.ln_train, 1.0)))
     # the bound reads the trajectory's cl column
-    assert assemble_bound(traj, lam=0.5).cl == float(traj.cl[-1])
+    assert assemble_bound(traj, lam=0.5)[0].cl == float(traj.cl[-1])
 
 
 _SMALL_SPEC = NetworkSpec(input_dim=3, conv_kernels=(), fc_widths=(8,), output_width=8, norm_exponent=0.5)
@@ -130,7 +131,7 @@ def test_cl_discrete_matches_logged_column():
         traj = train(_SMALL_SPEC, ds, config)
         assert traj.cl[0] == 0.0
         np.testing.assert_array_equal(traj.cl, cl_resum(traj.eta, traj.psi))
-        assert assemble_bound(traj, lam=0.5, rho=1.0).cl == float(traj.cl[-1])
+        assert assemble_bound(traj, lam=0.5, rho=1.0)[0].cl == float(traj.cl[-1])
 
 
 def test_cl_discrete_rejects_gf():
@@ -156,7 +157,7 @@ def test_cl_continuous_trapezoid():
         )
         traj = train(_SMALL_SPEC, ds, config)
         np.testing.assert_array_equal(traj.cl, cl_trapezoid(traj.times, traj.psi))
-        assert assemble_bound(traj, lam=0.5).cl == float(traj.cl[-1])
+        assert assemble_bound(traj, lam=0.5)[0].cl == float(traj.cl[-1])
 
 
 def test_rademacher_constants():
@@ -178,8 +179,8 @@ def test_rademacher_constants():
 
 def test_assemble_bound_sample_size_scaling():
     traj = _hand_trajectory("GD", [0.1] * 11, [0.125] * 11)
-    r1 = assemble_bound(dataclasses.replace(traj, n_train=100), lam=0.5)
-    r4 = assemble_bound(dataclasses.replace(traj, n_train=400), lam=0.5)
+    r1, _ = assemble_bound(dataclasses.replace(traj, n_train=100), lam=0.5)
+    r4, _ = assemble_bound(dataclasses.replace(traj, n_train=400), lam=0.5)
     assert r1.complexity == pytest.approx(2.0 * r4.complexity, rel=1e-12)
     assert r1.confidence == pytest.approx(2.0 * r4.confidence, rel=1e-12)
     assert r1.bound > r4.bound
@@ -187,7 +188,7 @@ def test_assemble_bound_sample_size_scaling():
 
 def test_assemble_bound_structure():
     traj = _hand_trajectory("GD", [0.1] * 3, [0.125] * 3)
-    rep = assemble_bound(traj, lam=0.5, delta=0.05)
+    rep, _ = assemble_bound(traj, lam=0.5, delta=0.05)
     assert rep.theorem == "GD" and rep.algorithm == "GD"
     assert rep.hidden_constant == 1.0
     assert rep.n == traj.n_train
@@ -204,11 +205,11 @@ def test_assemble_bound_structure():
 def test_assemble_bound_negative_cl_clamped():
     # losses above c_y^2/2 make psi negative and CL < 0
     traj = _hand_trajectory("GD", [0.1] * 4, [0.9] * 4)
-    rep = assemble_bound(traj, lam=0.5)
+    rep, _ = assemble_bound(traj, lam=0.5)
     assert rep.cl < 0.0
     assert rep.cl_clamped
     # a loss of c_y^2/2 gives psi = 0 exactly, so CL = 0
-    zero = assemble_bound(dataclasses.replace(traj, ln_train=np.full(4, 0.5)), lam=0.5)
+    zero, _ = assemble_bound(dataclasses.replace(traj, ln_train=np.full(4, 0.5)), lam=0.5)
     assert zero.cl == 0.0
     assert rep.complexity == pytest.approx(zero.complexity, rel=1e-12)
 
@@ -217,11 +218,11 @@ def test_assemble_bound_sgd_rho():
     traj = _hand_trajectory("SGD", [0.1] * 5, [0.125] * 5)
     with pytest.raises(ValueError):
         assemble_bound(traj, lam=0.5)
-    rep = assemble_bound(traj, lam=0.5, rho=1.0)
+    rep, _ = assemble_bound(traj, lam=0.5, rho=1.0)
     assert rep.theorem == "SGD" and rep.rho == 1.0
     # rho -> 0 recovers the full-batch assembly
-    tiny = assemble_bound(traj, lam=0.5, rho=1e-12)
-    full = assemble_bound(dataclasses.replace(traj, algorithm="GD"), lam=0.5)
+    tiny, _ = assemble_bound(traj, lam=0.5, rho=1e-12)
+    full, _ = assemble_bound(dataclasses.replace(traj, algorithm="GD"), lam=0.5)
     assert tiny.complexity == pytest.approx(full.complexity, rel=1e-9)
     # the (1+rho) factor multiplies every layer's summand
     assert rep.complexity == pytest.approx(2.0 * full.complexity, rel=1e-12)
@@ -229,63 +230,65 @@ def test_assemble_bound_sgd_rho():
 
 def test_assemble_bound_sgld_runs_under_gd():
     traj = _hand_trajectory("SGLD", [0.1] * 5, [0.125] * 5)
-    rep = assemble_bound(traj, lam=0.5)
+    rep, _ = assemble_bound(traj, lam=0.5)
     assert rep.theorem == "GD" and rep.algorithm == "SGLD"
 
 
 def test_assemble_bound_seed_mean():
     traj = _hand_trajectory("GD", [0.1] * 5, [0.125] * 5)
-    rep = assemble_bound(traj, lam=0.5, cl_seed_mean=0.0)
+    rep, _ = assemble_bound(traj, lam=0.5, cl_seed_mean=0.0)
     assert rep.bound_seed_mean is not None
     assert rep.bound_seed_mean < rep.bound
-    base = assemble_bound(traj, lam=0.5)
+    base, _ = assemble_bound(traj, lam=0.5)
     assert base.bound_seed_mean is None
 
 
 def test_assemble_bound_validation():
-    traj = _hand_trajectory("GD", [0.1] * 3, [0.125] * 3)
-    with pytest.raises(ValueError):
-        assemble_bound(traj, lam=0.0)
-    with pytest.raises(ValueError):
-        assemble_bound(traj, lam=LAMBDA_MAX)
-    with pytest.raises(ValueError):
-        assemble_bound(traj, lam=0.5, delta=1.5)
+    traj = _hand_trajectory("GD", [0.1] * 5, [0.125] * 5)
+    for kwargs, message in (
+        ({"lam": 0.0}, "lam must lie in"),
+        ({"lam": 1.0}, "lam must lie in"),
+        ({"lam": LAMBDA_MAX}, "lam must lie in"),
+        ({"lam": 0.5, "delta": 1.5}, "delta must lie in"),
+        ({"lam": 0.5, "delta": 0.0}, "delta must lie in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            assemble_bound(traj, **kwargs)
+        # the series accessor checks the same ranges
+        with pytest.raises(ValueError, match=message):
+            bound_series(traj, **kwargs)
     with pytest.raises(ValueError):
         assemble_bound(dataclasses.replace(traj, algorithm="ADAM"), lam=0.5)
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"lam": 0.0}, "lam must lie in"),
-        ({"lam": 1.0}, "lam must lie in"),
-        ({"lam": 0.5, "delta": 1.5}, "delta must lie in"),
-        ({"lam": 0.5, "delta": 0.0}, "delta must lie in"),
-    ],
-)
-def test_bound_series_checks_ranges_as_assemble_bound(kwargs, message):
-    traj = _hand_trajectory("GD", [0.1] * 5, [0.125] * 5)
-    with pytest.raises(ValueError, match=message):
-        assemble_bound(traj, **kwargs)
-    with pytest.raises(ValueError, match=message):
-        bound_series(traj, **kwargs)
-
-
 def test_bound_series_prefix_consistency():
     ds = synth_regression(64, seed=1)
-    traj = train(_SMALL_SPEC, ds, TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0))
-    series = bound_series(traj, lam=0.5, delta=0.05)
-    assert series.shape == traj.steps.shape
-    rep = assemble_bound(traj, lam=0.5, delta=0.05)
-    assert series[-1] == pytest.approx(rep.bound, rel=1e-12)
-    # a loss of c_y^2/2 gives psi = 0 exactly, so CL = 0 at the last row as at the first
-    zero_loss = np.full_like(traj.ln_train, traj.c_y * traj.c_y / 2.0)
-    first = assemble_bound(dataclasses.replace(traj, ln_train=zero_loss), lam=0.5, delta=0.05)
-    assert first.cl == 0.0
-    assert series[0] == pytest.approx(first.bound, rel=1e-12)
-    # positive psi makes the prefix bound nondecreasing
-    if np.all(traj.psi >= 0):
-        assert np.all(np.diff(series) >= -1e-15)
+    for config, rho, factor in (
+        (TrainConfig(algorithm="GD", eta=0.1, total_steps=40, seed=0), None, 1.0),
+        (TrainConfig(algorithm="SGD", eta=0.1, batch=8, total_steps=40, seed=0), 1.0, 2.0),
+        (TrainConfig(algorithm="GF", duration=0.2, gf_substep=0.01, seed=0), None, 1.0),
+        (TrainConfig(algorithm="SGLD", eta=0.1, beta=100.0, total_steps=40, seed=0), None, 1.0),
+    ):
+        traj = train(_SMALL_SPEC, ds, config)
+        rep, series = assemble_bound(traj, lam=0.5, delta=0.05, rho=rho)
+        assert series.shape == traj.steps.shape
+        np.testing.assert_array_equal(bound_series(traj, lam=0.5, delta=0.05, rho=rho), series)
+        # the report is the series' last entry, bit for bit
+        assert rep.bound == series[-1]
+        radii = np.sqrt(factor * (np.array(rep.v) + np.maximum(traj.cl, 0.0)[:, None]))
+        complexities = _norm_ball_complexity(traj.spec, radii, traj.n_train)
+        assert rep.complexity == complexities[-1]
+        np.testing.assert_array_equal(series, complexities + rep.confidence)
+        # a loss of c_y^2/2 gives psi = 0 exactly, so CL = 0 at the last row as at the first
+        zero_loss = np.full_like(traj.ln_train, traj.c_y * traj.c_y / 2.0)
+        first, _ = assemble_bound(
+            dataclasses.replace(traj, ln_train=zero_loss), lam=0.5, delta=0.05, rho=rho
+        )
+        assert first.cl == 0.0
+        assert series[0] == pytest.approx(first.bound, rel=1e-12)
+        # positive psi makes the prefix bound nondecreasing
+        if np.all(traj.psi >= 0):
+            assert np.all(np.diff(series) >= -1e-15)
 
 
 def test_sgld_bound_values():

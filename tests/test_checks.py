@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from genbound import checks
+from genbound.bounds import _norm_ball_complexity, rademacher_constant
 from genbound.checks import (
     SUITE_NAMES,
     CheckOutcome,
@@ -275,6 +276,18 @@ def test_mc_rademacher_below_upper():
         assert 0.0 < est < upper
     with pytest.raises(ValueError):
         mc_rademacher_lower(spec, np.array([1.0]), X, 10, 10, seed=0)
+
+
+def test_mc_rademacher_upper_is_the_bound_complexity():
+    # the check bounds its estimate by the same function the bound runs
+    rng = np.random.default_rng(6)
+    spec = NetworkSpec(11, (3,), (6,), 6, 0.5)
+    X = random_ball_points(rng, 8, 11)
+    Q = rng.uniform(0.5, 2.0, size=spec.n_layers)
+    _, upper = mc_rademacher_lower(spec, Q, X, 20, 20, seed=0)
+    assert upper == _norm_ball_complexity(spec, Q, 8)
+    want = rademacher_constant(2, 11, "CNN") * 6.0**-0.5 / math.sqrt(8.0) * float(np.prod(Q))
+    assert upper == pytest.approx(want, rel=1e-12)
 
 
 def test_mc_rademacher_scales_with_radii():

@@ -66,8 +66,13 @@ def test_c_y_rejected_for_synthetic_regression(tmp_path, capsys, c_y):
     assert cli.main(["train", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: unknown key 'c_y' in section 'data'\n"
     assert not out.exists()
-    # classification and IDX data keep the key
-    assert cli.load_config(_write(tmp_path, _base_config(data={"kind": "classification", "c_y": c_y}))).data.c_y == c_y
+    # classification and IDX data keep the key, and range-check it
+    classification = _write(tmp_path, _base_config(data={"kind": "classification", "c_y": c_y}))
+    if c_y <= 1.0:
+        assert cli.load_config(classification).data.c_y == c_y
+    else:
+        with pytest.raises(cli.ConfigError, match=r"key 'c_y': expected a number in \(0, 1\]"):
+            cli.load_config(classification)
 
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
@@ -374,6 +379,25 @@ def test_range_error_names_train_key(tmp_path, capsys, train_section, key):
     cfg = _write(tmp_path, _base_config(train=train_section))
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: section 'train' key '{key}': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data_section, key, expected",
+    [
+        ({"n_train": 0}, "n_train", "an integer >= 1, got 0"),
+        ({"n_test": -3}, "n_test", "an integer >= 0, got -3"),
+        ({"seed": -1}, "seed", "an integer >= 0, got -1"),
+        ({"kind": "classification", "c_y": 0}, "c_y", "a number in (0, 1], got 0"),
+        ({"kind": "classification", "c_y": 7}, "c_y", "a number in (0, 1], got 7"),
+    ],
+    ids=["n_train", "n_test", "seed", "c_y-0", "c_y-7"],
+)
+def test_range_error_names_data_key(tmp_path, capsys, data_section, key, expected):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _base_config(data=data_section))
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: section 'data' key '{key}': expected {expected}\n"
     assert not out.exists()
 
 
@@ -721,6 +745,20 @@ def test_compare_table(tmp_path):
     infos = [float(r[4]) for r in rows]
     assert infos[0] < infos[1] and math.isinf(infos[2])
     assert all(math.isfinite(float(r[3])) for r in rows)
+
+
+def test_compare_diverged_run_writes_table_and_exits_1(tmp_path, capsys):
+    # the shipped compare config at eta 50: the beta=10 SGLD run diverges at step 3
+    with open(os.path.join(_CONFIGS, "compare_sgld.json")) as fh:
+        doc = json.load(fh)
+    doc["train"]["eta"] = 50
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", _write(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "at least one compare run diverged\n"
+    lines = (out / "compare.csv").read_text().strip().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["SGLD", "10.0"], ["SGLD", "100.0"], ["SGLD", "1000.0"], ["SGLD", "10000.0"], ["GD", "inf"]
+    ]
 
 
 def test_compare_requires_section(tmp_path, capsys):
