@@ -254,11 +254,25 @@ def test_assemble_bound_validation():
     ):
         with pytest.raises(ValueError, match=message):
             assemble_bound(traj, **kwargs)
-        # the series accessor checks the same ranges
-        with pytest.raises(ValueError, match=message):
-            bound_series(traj, **kwargs)
     with pytest.raises(ValueError):
         assemble_bound(dataclasses.replace(traj, algorithm="ADAM"), lam=0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lam": 0.0}, "lam must lie in"),
+        ({"lam": 1.0}, "lam must lie in"),
+        ({"lam": 0.5, "delta": 1.5}, "delta must lie in"),
+        ({"lam": 0.5, "delta": 0.0}, "delta must lie in"),
+    ],
+)
+def test_bound_series_checks_ranges_as_assemble_bound(kwargs, message):
+    traj = _hand_trajectory("GD", [0.1] * 5, [0.125] * 5)
+    with pytest.raises(ValueError, match=message):
+        assemble_bound(traj, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        bound_series(traj, **kwargs)
 
 
 def test_bound_series_prefix_consistency():
