@@ -19,6 +19,7 @@ from .data import Dataset, synth_regression
 from .network import (
     NetworkSpec,
     Parameters,
+    _forward_batch,
     _loss_grad_outputs,
     _norm,
     _value_grad,
@@ -135,7 +136,7 @@ def check_homogeneity(
             grads[0].ravel()[0] += grad_perturb
         total = 0.0
         for W, g in zip(params.layers, grads):
-            dot = float(np.sum(W * g))
+            dot = float(np.add.reduce(W * g, axis=None))
             total += dot
             worst = max(worst, _rel(abs(dot - f), f))
         worst = max(worst, _rel(abs(total - L1 * f), L1 * f))
@@ -159,7 +160,7 @@ def check_value_grad_bounds(spec: NetworkSpec, trials: int, seed: int) -> CheckO
         xn = _norm(x)
         f, grads = _value_grad(params, x)
         norms = params.norms()
-        total = float(np.sqrt(np.sum(norms**2)))
+        total = math.sqrt(np.add.reduce(norms**2))
         scale = spec.out_scale
         prod_all = float(np.prod(norms))
         val_mid = scale * prod_all * xn
@@ -257,6 +258,13 @@ def check_norm_dynamics(traj: Trajectory, lam: float) -> CheckOutcome:
     return CheckOutcome(name, slack.size, float(np.max(slack, initial=-math.inf)), 1e-9)
 
 
+# mc_rademacher_lower's hypotheses per forward pass and sign rows per product:
+# small enough that neither the chunk nor the product becomes the largest
+# temporary array of a verify run
+_HYP_CHUNK = 25
+_SIGN_BLOCK = 16
+
+
 def mc_rademacher_lower(
     spec: NetworkSpec,
     Q: np.ndarray,
@@ -270,22 +278,37 @@ def mc_rademacher_lower(
     Hypotheses are Gaussian draws rescaled so every layer sits exactly on
     its radius Q_l; the estimate averages max over hypotheses of the
     sign-weighted output sum.  Returns (estimate, closed-form upper bound).
+
+    The hypotheses are drawn _HYP_CHUNK at a time from the one normal
+    stream, in the order and with the values init_gaussian(spec, 1.0, rng)
+    gives one hypothesis after another, and each chunk goes through one
+    forward pass.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (spec.n_layers,) or np.any(Q <= 0):
         raise ValueError("Q must hold a positive radius per layer")
     n = X.shape[0]
     rng = _rng(seed)
+    sizes = spec.layer_sizes()
+    ends = np.cumsum(sizes).tolist()
     F = np.empty((hyp_samples, n))
-    for hi in range(hyp_samples):
-        params = init_gaussian(spec, 1.0, rng)
+    for start in range(0, hyp_samples, _HYP_CHUNK):
+        h = min(_HYP_CHUNK, hyp_samples - start)
+        z = rng.standard_normal((h, ends[-1]))
         layers = []
-        for W, radius in zip(params.layers, Q):
-            norm = _norm(W)
-            layers.append(W * (radius / norm))
-        F[hi] = batch_outputs(Parameters._unchecked(spec, layers), X)
+        for q, end, shape, radius in zip(sizes, ends, spec.layer_shapes, Q):
+            # rng.normal(0, 1/sqrt(q)) computes 0 + scale * z on this stream
+            W = 0.0 + (1.0 / math.sqrt(q)) * z[:, end - q : end]
+            for row in W:
+                row *= radius / _norm(row)
+            layers.append(W.reshape(h, *shape))
+        F[start : start + h] = _forward_batch(Parameters._unchecked(spec, layers), X)[0]
     sigma = rng.choice([-1.0, 1.0], size=(sigma_samples, n))
-    estimate = float(np.mean(np.max(sigma @ F.T, axis=1))) / n
+    # max over hypotheses a block of sign rows at a time, not the whole product
+    best = np.empty(sigma_samples)
+    for i in range(0, sigma_samples, _SIGN_BLOCK):
+        np.max(sigma[i : i + _SIGN_BLOCK] @ F.T, axis=1, out=best[i : i + _SIGN_BLOCK])
+    estimate = float(np.mean(best)) / n
     return estimate, float(_norm_ball_complexity(spec, Q, n))
 
 
@@ -294,18 +317,21 @@ def exhaustive_rademacher_tiny(q1: float, q2: float, grid: int = 4096) -> tuple[
 
     The hypothesis ball is swept densely (direction grid times readout
     sign), the two Rademacher sign vectors are enumerated exhaustively.
+    The readout -q2 negates each sign-weighted sum exactly, so the max over
+    both readout signs is max(v.max(), -v.min()) over the sums v at +q2.
     """
     spec = NetworkSpec(2, (), (1,), 1, 0.0)
     X = np.array([[0.6, -0.2], [-0.3, 0.7]])
     thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    pre = X @ dirs.T * q1  # (2, grid)
-    acts = np.maximum(pre, 0.0)
-    outs = np.concatenate([q2 * acts, -q2 * acts], axis=1)  # both readout signs
+    outs = X @ dirs.T * q1  # (2, grid)
+    np.maximum(outs, 0.0, out=outs)
+    outs *= q2
     total = 0.0
     for s1 in (-1.0, 1.0):
         for s2 in (-1.0, 1.0):
-            total += np.max(s1 * outs[0] + s2 * outs[1])
+            v = s1 * outs[0] + s2 * outs[1]
+            total += max(v.max(), -v.min())
     estimate = total / 4.0 / 2.0
     upper = _norm_ball_complexity(spec, np.array([q1, q2]), X.shape[0])
     return float(estimate), float(upper)
@@ -326,7 +352,7 @@ def check_loss_decomposition(params: Parameters, dataset: Dataset) -> CheckOutco
     worst = _rel(abs(lhs - rhs), rhs)
     cap = 2.0 * psi(ln, dataset.c_y)
     for W, g in zip(params.layers, grads):
-        descent = -2.0 * float(np.sum(W * g))
+        descent = -2.0 * float(np.add.reduce(W * g, axis=None))
         worst = max(worst, _rel(descent - cap, cap))
     return CheckOutcome("loss-decomposition", 1 + len(grads), worst, 1e-10)
 

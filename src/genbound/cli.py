@@ -124,7 +124,7 @@ _BOOL = ("true or false", lambda v: type(v) is bool, bool)
 _STR = ("a string", lambda v: type(v) is str, str)
 _OBJECT = ("an object", lambda v: type(v) is dict, dict)
 _INTS = ("a list of integers", _list_of(_is_int), tuple)
-_SEEDS = ("a nonempty list of integers", _list_of(_is_int, nonempty=True), tuple)
+_SEEDS = ("a nonempty list of integers >= 0", _list_of(lambda v: _is_int(v) and v >= 0, nonempty=True), tuple)
 _VALUES = ("a nonempty list of numbers", _list_of(_is_number, nonempty=True), tuple)
 _ETA = ('a number or "auto"', lambda v: v == "auto" or _is_number(v), lambda v: v if v == "auto" else float(v))
 _BETA = ('a number or "inf"', lambda v: v == "inf" or _is_number(v), _beta)
@@ -644,6 +644,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _seed_option(text: str) -> int:
+    """argparse type of the --seed options, so a bad value exits 2 naming the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="genbound",
@@ -653,13 +664,13 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="run one training and emit trajectory + bound")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed_option, default=None)
     p_train.add_argument("--out", default=None)
     p_train.set_defaults(fn=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the numerical check suites")
     p_verify.add_argument("--suite", action="append", choices=list(checks.SUITE_NAMES))
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed_option, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=cmd_verify)
@@ -684,7 +695,7 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
     p_gen.add_argument("--kind", required=True, choices=["regression", "classification", "idx-fixture"])
     p_gen.add_argument("--n", type=int, default=256)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed_option, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=cmd_gen_data)
 

@@ -182,13 +182,14 @@ def init_gaussian(spec: NetworkSpec, kappa: float, seed: int | np.random.Generat
 
     `seed` may also be a Generator, which the draws then advance.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     rng = np.random.default_rng(seed)
     layers = []
     for shape in spec.layer_shapes:
         layers.append(rng.normal(0.0, kappa / math.sqrt(math.prod(shape)), size=shape))
-    return Parameters(spec, layers)
+    # the shapes come from the spec and a finite scale gives finite normals
+    return Parameters._unchecked(spec, layers)
 
 
 def _check_inputs(spec: NetworkSpec, X: np.ndarray) -> np.ndarray:
@@ -224,6 +225,10 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
     Each fc activation overwrites its pre-activation in one array, so an fc
     pres[l] is zs[l + 1]; a conv pres[l] keeps the raw values its mask reads.
     With a workspace that array is its buffer, valid until the next pass.
+
+    The layers may also carry one leading axis of h networks of the spec,
+    evaluated at once on the same X: every array then gains that axis, and
+    each slice holds the bits a pass with that slice's layers gives.
     """
     spec = params.spec
     Z = X
@@ -234,17 +239,18 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
             s = spec.conv_kernels[l]
             m_out = spec.widths[l + 1]
             K = m_out * s
-            pre = W[0] * Z[:, 0:K]
+            pre = W[..., 0, None, None] * Z[..., 0:K]
             for j in range(1, s):
-                pre = pre + W[j] * Z[:, j : j + K]
+                pre = pre + W[..., j, None, None] * Z[..., j : j + K]
             y = np.maximum(pre, 0.0)
-            Z = y.reshape(Z.shape[0], m_out, s).mean(axis=2)
+            Z = np.add.reduce(y.reshape(*y.shape[:-1], m_out, s), axis=-1) / s  # np.mean's arithmetic
         else:
-            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "z"), (Z.shape[0], W.shape[1])))
+            shape = (*W.shape[:-2], Z.shape[-2], W.shape[-1])
+            pre = np.matmul(Z, W, out=_buffer(workspace, (l, "z"), shape))
             Z = np.maximum(pre, 0.0, out=pre)
         pres.append(pre)
         zs.append(Z)
-    f = (Z @ params.layers[-1]) * spec.out_scale
+    f = np.matmul(Z, params.layers[-1][..., None])[..., 0] * spec.out_scale
     return f, zs, pres
 
 
@@ -274,7 +280,7 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
             D[pres[l] <= 0.0] = 0.0
             gw = np.empty(s)
             for j in range(s):
-                gw[j] = np.sum(D * Zin[:, j : j + K])
+                gw[j] = np.add.reduce(D * Zin[:, j : j + K], axis=None)  # np.sum's reduction
             grads[l] = gw
             if l > 0:
                 G = np.zeros_like(Zin)
@@ -308,17 +314,22 @@ def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = No
 
 
 def _value_grad(params: Parameters, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Scalar output at one input and its gradient per layer, from one forward pass."""
-    spec = params.spec
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
-    f, zs, pres = _forward_batch(params, _check_inputs(spec, x[None, :]))
+    """Scalar output at one input and its gradient per layer, from one forward pass.
+
+    x is used as given: a float array of shape (input_dim,), such as a point
+    drawn inside the unit ball.
+    """
+    f, zs, pres = _forward_batch(params, x[None, :])
     return float(f[0]), _backward_batch(params, zs, pres, np.ones(1))
 
 
 def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:
     """Gradient of the scalar output with respect to each layer."""
+    spec = params.spec
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.input_dim,):
+        raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
+    _check_inputs(spec, x[None, :])
     return _value_grad(params, x)[1]
 
 

@@ -5,6 +5,8 @@ library code (explicit dense matrices, plain Python loops) so that an
 agreement between the two routes actually means something.
 """
 
+import math
+
 import numpy as np
 
 from genbound.bounds import psi
@@ -277,3 +279,34 @@ def load_csv(path) -> Dataset:
         rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     arr = np.array(rows)
     return Dataset(arr[:, :-1], arr[:, -1], float(fields["c_y"]), fields["split"])
+
+
+def mc_rademacher_estimate_per_hypothesis(spec, Q, X, hyp_samples: int, sigma_samples: int, seed: int) -> float:
+    """The Monte-Carlo Rademacher estimate drawing and evaluating one hypothesis at a time.
+
+    The exception to the different-style rule: the package's estimate before
+    it stacked its hypotheses, kept draw for draw so a comparison can be bitwise.
+    """
+    n = X.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    F = np.empty((hyp_samples, n))
+    for hi in range(hyp_samples):
+        params = init_gaussian(spec, 1.0, rng)
+        layers = [W * (radius / np.linalg.norm(W)) for W, radius in zip(params.layers, Q)]
+        F[hi] = batch_outputs(Parameters(spec, layers), X)
+    sigma = rng.choice([-1.0, 1.0], size=(sigma_samples, n))
+    return float(np.mean(np.max(sigma @ F.T, axis=1))) / n
+
+
+def exhaustive_rademacher_tiny_concat(q1: float, q2: float, grid: int = 4096) -> float:
+    """The exhaustive tiny-case estimate with both readout signs laid side by side in one array."""
+    X = np.array([[0.6, -0.2], [-0.3, 0.7]])
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    acts = np.maximum(X @ dirs.T * q1, 0.0)
+    outs = np.concatenate([q2 * acts, -q2 * acts], axis=1)
+    total = 0.0
+    for s1 in (-1.0, 1.0):
+        for s2 in (-1.0, 1.0):
+            total += np.max(s1 * outs[0] + s2 * outs[1])
+    return float(total / 4.0 / 2.0)

@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from genbound.network import NetworkSpec, init_gaussian
 from genbound.training import TrainConfig, train
 
 from oracles import (
+    exhaustive_rademacher_tiny_concat,
     finite_diff_grad,
     init_row_sums,
     layer_tail_probability,
+    mc_rademacher_estimate_per_hypothesis,
     norm_dynamics_worst,
     sample_kink_free,
 )
@@ -303,6 +306,33 @@ def test_mc_rademacher_scales_with_radii():
     np.testing.assert_allclose(up2, 4.0 * up1, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(4, (), (8,), 8, 0.5),
+        NetworkSpec(4, (1,), (4,), 4, 0.5),
+        NetworkSpec(11, (3,), (6,), 6, 0.5),
+    ],
+    ids=["fnn", "cnn-1", "cnn-3"],
+)
+def test_mc_rademacher_matches_per_hypothesis_oracle(spec):
+    # the rademacher suite's specs; 37 hypotheses leave a partial last chunk
+    rng = np.random.default_rng(11)
+    X = random_ball_points(rng, 8, spec.input_dim)
+    for seed in range(3):
+        Q = rng.uniform(0.5, 2.0, size=spec.n_layers)
+        est, _ = mc_rademacher_lower(spec, Q, X, 37, 200, seed)
+        assert est == mc_rademacher_estimate_per_hypothesis(spec, Q, X, 37, 200, seed)
+    est, _ = mc_rademacher_lower(spec, Q, X, 200, 200, 3)
+    assert est == mc_rademacher_estimate_per_hypothesis(spec, Q, X, 200, 200, 3)
+
+
+@pytest.mark.parametrize("q1, q2, grid", [(1.3, 0.8, 4096), (0.5, 2.0, 256), (2.0, 0.1, 7)])
+def test_exhaustive_rademacher_matches_concatenated_signs(q1, q2, grid):
+    est, _ = exhaustive_rademacher_tiny(q1, q2, grid)
+    assert est == exhaustive_rademacher_tiny_concat(q1, q2, grid)
+
+
 def test_exhaustive_rademacher_tiny():
     est, upper = exhaustive_rademacher_tiny(1.3, 0.8)
     assert 0.0 < est < upper
@@ -437,6 +467,20 @@ def test_all_suites_pass():
     assert len(outcomes) >= len(SUITE_NAMES)
     for o in outcomes:
         assert o.passed, f"{o.name}: {o.max_violation} > {o.tolerance}"
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_peak_memory_stays_small(name):
+    # a second run, so one-time costs such as lazy imports are not counted
+    checks.SUITES[name](0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        checks.SUITES[name](0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
 
 
 def test_inject_bug_flips_homogeneity():

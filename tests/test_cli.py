@@ -401,6 +401,33 @@ def test_range_error_names_data_key(tmp_path, capsys, data_section, key, expecte
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1"],
+        ["gen-data", "--kind", "regression", "--seed", "-1", "--out", "d.csv"],
+        ["train", "--config", "cfg.json", "--seed", "-2"],
+    ],
+    ids=["verify", "gen-data", "train"],
+)
+def test_negative_seed_option_names_the_option(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv])
+    assert exc.value.code == 2
+    seed = argv[argv.index("--seed") + 1]
+    assert f"error: argument --seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_config_seed_names_the_key(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _base_config(seeds=[0, -1]))
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: section '<top>' key 'seeds': expected a nonempty list of integers >= 0, got [0, -1]\n"
+    assert not out.exists()
+
+
 def test_bound_rejects_shipped_config_of_another_run(tmp_path, capsys):
     out = tmp_path / "toy"
     assert cli.main(["train", "--config", os.path.join(_CONFIGS, "toy_regression.json"), "--out", str(out)]) == 0

@@ -367,6 +367,37 @@ def test_init_gaussian_matches_numpy_reference_bitwise(cnn, kappa, seed):
     assert spec.layer_sizes() == [int(np.prod(s)) for s in spec.layer_shapes]
 
 
+@pytest.mark.parametrize("kappa", [np.inf, np.nan, -np.inf, 0.0])
+def test_init_gaussian_rejects_bad_kappa(kappa):
+    spec = NetworkSpec(3, (), (4,), 4, 0.5)
+    with pytest.raises(ValueError, match="kappa must be positive and finite"):
+        init_gaussian(spec, kappa, 0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(5, (), (7, 6), 6, 0.5),
+        NetworkSpec(23, (2, 3), (5,), 5, 0.5),
+        NetworkSpec(23, (2, 3), (), 3, 0.0),
+    ],
+    ids=["fnn", "two-conv-fc", "two-conv-only"],
+)
+@pytest.mark.parametrize("n", [1, 6])
+def test_forward_batch_on_stacked_layers_matches_each_slice(spec, n):
+    rng = np.random.default_rng(3)
+    nets = [init_gaussian(spec, 1.0, rng) for _ in range(4)]
+    stacked = Parameters._unchecked(spec, [np.stack(layers) for layers in zip(*(p.layers for p in nets))])
+    X = rng.uniform(-1.0, 1.0, size=(n, spec.input_dim)) / spec.input_dim
+    f, zs, pres = _forward_batch(stacked, X)
+    assert f.shape == (4, n)
+    for i, params in enumerate(nets):
+        f_i, zs_i, pres_i = _forward_batch(params, X)
+        assert f[i].tobytes() == f_i.tobytes()
+        assert [z[i].tobytes() for z in zs[1:]] == [z.tobytes() for z in zs_i[1:]]
+        assert [p[i].tobytes() for p in pres] == [p.tobytes() for p in pres_i]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cnn=st.booleans(),
