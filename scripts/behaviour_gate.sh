@@ -14,8 +14,11 @@
 # (caught at psi row 0);
 # train on bench/wide_gd.json, verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
-# than one draw), and verify --seed 2 on rademacher, init-concentration,
-# rademacher (outcomes in request order when a suite is requested twice),
+# than one draw), verify --seed 7 on homogeneity and value-bounds (a third
+# draw of the two suites whose trials run in stacked chunks, so a change to
+# their chunked summation shows at more specs), verify --seed 2 on
+# rademacher, init-concentration, rademacher (outcomes in request order
+# when a suite is requested twice),
 # and verify --seed 0 --inject-bug, the one run of the perturbed
 # homogeneity suite, which must exit 1 on the working tree; and train
 # --seed 5 on the toy config, the one run whose seed list the command line
@@ -212,6 +215,7 @@ run_side() {  # run_side TREE OUTDIR
         gb train_toy_seed5 train --config configs/toy_regression.json --seed 5 --out train_toy_seed5
         gb verify verify --seed 0 --out verify.json
         gb verify3 verify --seed 3 --out verify3.json
+        gb verify7 verify --seed 7 --suite homogeneity --suite value-bounds --out verify7.json
         gb verify_order verify --suite rademacher --suite init-concentration \
             --suite rademacher --seed 2 --out verify_order.json
         gb verify_bug verify --seed 0 --inject-bug --out verify_bug.json

@@ -227,7 +227,8 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
     With a workspace that array is its buffer, valid until the next pass.
 
     The layers may also carry one leading axis of h networks of the spec,
-    evaluated at once on the same X: every array then gains that axis, and
+    evaluated at once on the same X of shape (n, d) or on one batch per
+    network, X of shape (h, n, d): every array then gains that axis, and
     each slice holds the bits a pass with that slice's layers gives.
     """
     spec = params.spec
@@ -250,7 +251,8 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
             Z = np.maximum(pre, 0.0, out=pre)
         pres.append(pre)
         zs.append(Z)
-    f = np.matmul(Z, params.layers[-1][..., None])[..., 0] * spec.out_scale
+    a = params.layers[-1]
+    f = (Z @ a if a.ndim == 1 else np.matmul(Z, a[..., None])[..., 0]) * spec.out_scale
     return f, zs, pres
 
 
@@ -261,14 +263,24 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
     first, then each error signal is written over the activation it is done
     with (a fresh array below an fc layer on a conv one); zs[0] is never
     written.  With a workspace, the fc weight gradients are its buffers.
+
+    The layers may also carry one leading axis of h networks of the spec,
+    with the activations of a `_forward_batch` on them: X, and so zs[0], is
+    then shared of shape (n, d) or one batch per network of shape (h, n, d),
+    coef has shape (n,) or (h, n), every gradient gains the leading axis,
+    and each slice holds the bits a pass with that slice's layers gives.
     """
     spec = params.spec
+    a = params.layers[-1]
     grads: list[np.ndarray] = [np.empty(0)] * len(params.layers)
-    grads[-1] = spec.out_scale * (zs[-1].T @ coef)
+    if a.ndim == 1:
+        grads[-1] = spec.out_scale * (zs[-1].T @ coef)
+    else:
+        grads[-1] = spec.out_scale * np.matmul(zs[-1].swapaxes(-1, -2), coef[..., None])[..., 0]
     on = {l: np.greater(zs[l + 1], 0.0, out=_buffer(workspace, (l, "on"), zs[l + 1].shape, bool))
           for l in range(spec.n_conv, spec.n_hidden)}
     # np.outer's values, but +0.0 where its product is -0.0: every reader of G sums from +0.0
-    G = np.einsum("i,j->ij", coef, params.layers[-1], out=zs[-1])
+    G = np.einsum("...i,...j->...ij", coef, a, out=zs[-1])
     G *= spec.out_scale
     for l in range(spec.n_hidden - 1, -1, -1):
         W = params.layers[l]
@@ -276,16 +288,18 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
         if l < spec.n_conv:
             s = spec.conv_kernels[l]
             K = spec.widths[l + 1] * s
-            D = np.repeat(G, s, axis=1) / s
+            D = np.repeat(G, s, axis=-1) / s
             D[pres[l] <= 0.0] = 0.0
-            gw = np.empty(s)
+            lead = D.shape[:-2]
+            gw = np.empty((*lead, s))
             for j in range(s):
-                gw[j] = np.add.reduce(D * Zin[:, j : j + K], axis=None)  # np.sum's reduction
+                # np.sum's reduction over each network's products
+                gw[..., j] = np.add.reduce((D * Zin[..., j : j + K]).reshape(*lead, -1), axis=-1)
             grads[l] = gw
             if l > 0:
                 G = np.zeros_like(Zin)
                 for j in range(s):
-                    G[:, j : j + K] += W[j] * D
+                    G[..., j : j + K] += W[..., j, None, None] * D
         else:
             # np.where(pre > 0, G, 0.0) in place, read from z = max(pre, 0),
             # which is > 0 exactly where pre is: multiplying G's bit patterns
@@ -294,9 +308,9 @@ def _backward_batch(params: Parameters, zs, pres, coef: np.ndarray, workspace: d
             # alike, with no branch per entry as a masked copy would take
             bits = G.view(np.uint64)
             np.multiply(bits, on[l], out=bits)
-            grads[l] = np.matmul(Zin.T, G, out=_buffer(workspace, (l, "grad"), W.shape))
+            grads[l] = np.matmul(Zin.swapaxes(-1, -2), G, out=_buffer(workspace, (l, "grad"), W.shape))
             if l > 0:
-                G = np.matmul(G, W.T, out=Zin if l > spec.n_conv else None)
+                G = np.matmul(G, W.swapaxes(-1, -2), out=Zin if l > spec.n_conv else None)
     return grads
 
 
@@ -313,14 +327,17 @@ def batch_outputs(params: Parameters, X: np.ndarray, workspace: dict | None = No
     return f
 
 
-def _value_grad(params: Parameters, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Scalar output at one input and its gradient per layer, from one forward pass.
+def _value_grad(params: Parameters, x: np.ndarray, workspace: dict | None = None):
+    """Output at one input and its gradient per layer, from one forward and one backward pass.
 
     x is used as given: a float array of shape (input_dim,), such as a point
-    drawn inside the unit ball.
+    drawn inside the unit ball.  With layers stacked over a leading axis of
+    h networks, x has shape (h, input_dim), one point per network, and the
+    output has shape (h,).  With a workspace, the fc gradients are its
+    buffers, valid until its next pass.
     """
-    f, zs, pres = _forward_batch(params, x[None, :])
-    return float(f[0]), _backward_batch(params, zs, pres, np.ones(1))
+    f, zs, pres = _forward_batch(params, x[..., None, :], workspace)
+    return f[..., 0], _backward_batch(params, zs, pres, np.ones(1), workspace)
 
 
 def grad_f(params: Parameters, x: np.ndarray) -> list[np.ndarray]:

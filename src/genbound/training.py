@@ -378,28 +378,31 @@ def train(
 
     # buffers reused by every step: full data, SGD minibatch, test set
     ws_full, ws_batch, ws_test = {}, {}, {}
-    for t in range(n_steps + 1):
-        if config.algorithm == "GF":
-            eta_t = h
-        else:
-            eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
-        if config.algorithm == "SGD" or t == n_steps:  # the last row needs no gradient
-            ln, f = _batch_loss(params, dataset, config.loss_power, ws_full)
-            grads = None
-        else:
-            ln, grads, f = _loss_grad_outputs(
-                params, dataset.inputs, dataset.targets, config.loss_power, ws_full
-            )
-        max_abs_f = max(max_abs_f, float(np.abs(f).max()))
-        if test_dataset is not None:
-            ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
-            max_abs_f = max(max_abs_f, float(np.abs(f_te).max()))
-        eta[t], ln_train[t] = eta_t, ln
-        norms = _sq_norms(params.layers, normsq[t])
-        if not math.isfinite(ln) or ln > _LOSS_CAP or not np.isfinite(norms).all():
-            raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
-        if t == n_steps:
-            break
-        params, grads = _update(params, grads, eta_t, config, rng, next(batches), ws_batch)
-        _sq_norms(grads, gradsq[t])
+    # an overflow or NaN shows in the logged loss and norms, which raise the
+    # one divergence error; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_steps + 1):
+            if config.algorithm == "GF":
+                eta_t = h
+            else:
+                eta_t = lr_schedule(t, config.eta, config.alpha, config.t0)
+            if config.algorithm == "SGD" or t == n_steps:  # the last row needs no gradient
+                ln, f = _batch_loss(params, dataset, config.loss_power, ws_full)
+                grads = None
+            else:
+                ln, grads, f = _loss_grad_outputs(
+                    params, dataset.inputs, dataset.targets, config.loss_power, ws_full
+                )
+            max_abs_f = max(max_abs_f, float(np.abs(f).max()))
+            if test_dataset is not None:
+                ln_test[t], f_te = _batch_loss(params, test_dataset, config.loss_power, ws_test)
+                max_abs_f = max(max_abs_f, float(np.abs(f_te).max()))
+            eta[t], ln_train[t] = eta_t, ln
+            norms = _sq_norms(params.layers, normsq[t])
+            if not math.isfinite(ln) or ln > _LOSS_CAP or not np.isfinite(norms).all():
+                raise DivergenceError(t, ln, trajectory(t + 1, diverged_at=t))
+            if t == n_steps:
+                break
+            params, grads = _update(params, grads, eta_t, config, rng, next(batches), ws_batch)
+            _sq_norms(grads, gradsq[t])
     return trajectory(n_steps + 1)

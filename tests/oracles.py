@@ -10,9 +10,17 @@ import math
 import numpy as np
 
 from genbound.bounds import psi
-from genbound.checks import random_ball_points
+from genbound.checks import CheckOutcome, _rel, _rng, random_ball_points
 from genbound.data import Dataset
-from genbound.network import Parameters, _forward_batch, batch_outputs, init_gaussian, loss_and_grad
+from genbound.network import (
+    Parameters,
+    _forward_batch,
+    _norm,
+    _value_grad,
+    batch_outputs,
+    init_gaussian,
+    loss_and_grad,
+)
 from genbound.training import lr_schedule
 
 
@@ -310,3 +318,59 @@ def exhaustive_rademacher_tiny_concat(q1: float, q2: float, grid: int = 4096) ->
         for s2 in (-1.0, 1.0):
             total += np.max(s1 * outs[0] + s2 * outs[1])
     return float(total / 4.0 / 2.0)
+
+
+def check_homogeneity_per_trial(spec, trials: int, seed: int, grad_perturb: float = 0.0):
+    """The homogeneity check drawing and differentiating one trial at a time.
+
+    The exception to the different-style rule: the package's check before
+    it stacked its trials, kept operation for operation so a comparison can
+    be bitwise.
+    """
+    worst = 0.0
+    L1 = spec.n_layers
+    for i in range(trials):
+        rng = _rng(seed, i)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
+        x = random_ball_points(rng, 1, spec.input_dim)[0]
+        f, grads = _value_grad(params, x)
+        f = float(f)
+        if grad_perturb:
+            grads[0].ravel()[0] += grad_perturb
+        total = 0.0
+        for W, g in zip(params.layers, grads):
+            dot = float(np.add.reduce(W * g, axis=None))
+            total += dot
+            worst = max(worst, _rel(abs(dot - f), f))
+        worst = max(worst, _rel(abs(total - L1 * f), L1 * f))
+    return CheckOutcome("homogeneity", trials, worst, 1e-9)
+
+
+def check_value_grad_bounds_per_trial(spec, trials: int, seed: int):
+    """The norm-product ceiling check drawing and differentiating one trial at a time.
+
+    The exception to the different-style rule, as `check_homogeneity_per_trial`.
+    """
+    worst = -math.inf
+    L = spec.n_hidden
+    for i in range(trials):
+        rng = _rng(seed, i)
+        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
+        x = random_ball_points(rng, 1, spec.input_dim)[0]
+        xn = _norm(x)
+        f, grads = _value_grad(params, x)
+        f = float(f)
+        norms = params.norms()
+        total = math.sqrt(np.add.reduce(norms**2))
+        scale = spec.out_scale
+        prod_all = float(np.prod(norms))
+        val_mid = scale * prod_all * xn
+        val_top = scale * total ** (L + 1) * xn / (L + 1) ** ((L + 1) / 2.0)
+        worst = max(worst, _rel(abs(f) - val_mid, val_mid), _rel(val_mid - val_top, val_top))
+        for l, g in enumerate(grads):
+            gn = _norm(g)
+            others = prod_all / norms[l] if norms[l] > 0 else float(np.prod(np.delete(norms, l)))
+            g_mid = scale * others * xn
+            g_top = scale * total**L * xn / L ** (L / 2.0)
+            worst = max(worst, _rel(gn - g_mid, g_mid), _rel(g_mid - g_top, g_top))
+    return CheckOutcome("value-grad-bounds", trials, worst, 1e-12)

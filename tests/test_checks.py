@@ -29,10 +29,12 @@ from genbound.checks import (
     run_suites,
 )
 from genbound.data import Dataset, synth_regression
-from genbound.network import NetworkSpec, init_gaussian
+from genbound.network import NetworkSpec, _value_grad, init_gaussian
 from genbound.training import TrainConfig, train
 
 from oracles import (
+    check_homogeneity_per_trial,
+    check_value_grad_bounds_per_trial,
     exhaustive_rademacher_tiny_concat,
     finite_diff_grad,
     init_row_sums,
@@ -87,6 +89,69 @@ def test_value_grad_bounds_pass():
     for _ in range(5):
         assert check_value_grad_bounds(random_fnn_spec(rng), 10, 1).passed
         assert check_value_grad_bounds(random_cnn_spec(rng), 10, 1).passed
+
+
+def _trials_per_chunk(spec):
+    return max(1, checks._TRIAL_CHUNK_BYTES // (8 * sum(spec.layer_sizes())))
+
+
+_CHUNKED_SPECS = [
+    NetworkSpec(4, (), (37, 26), 26, 0.5),
+    NetworkSpec(23, (2, 3), (16, 16), 16, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
+def test_trial_chunks_hold_each_trials_own_draws_and_pass(spec):
+    # trial i is drawn from its own stream, whichever chunk it lands in
+    trials = 2 * _trials_per_chunk(spec) + 1
+    i = 0
+    for layers, X, f, grads in checks._trial_chunks(spec, trials, 4):
+        for k in range(f.shape[0]):
+            rng = checks._rng(4, i)
+            params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
+            x = random_ball_points(rng, 1, spec.input_dim)[0]
+            f_i, grads_i = _value_grad(params, x)
+            assert [W[k].tobytes() for W in layers] == [W.tobytes() for W in params.layers]
+            assert X[k].tobytes() == x.tobytes()
+            assert f[k].tobytes() == f_i.tobytes()
+            assert [g[k].tobytes() for g in grads] == [g.tobytes() for g in grads_i]
+            i += 1
+    assert i == trials
+
+
+@pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
+@pytest.mark.parametrize("offset", [None, -1, 1], ids=["one", "below-boundary", "above-boundary"])
+def test_chunked_checks_match_per_trial_oracles(spec, offset):
+    # the stacked chunks give each trial the bits of its own pass, whatever the chunk size
+    per_chunk = _trials_per_chunk(spec)
+    assert 2 < per_chunk < 100
+    trials = 1 if offset is None else per_chunk + offset
+    for got, want in [
+        (check_homogeneity(spec, trials, 5), check_homogeneity_per_trial(spec, trials, 5)),
+        (check_value_grad_bounds(spec, trials, 5), check_value_grad_bounds_per_trial(spec, trials, 5)),
+    ]:
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+@pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
+def test_chunked_homogeneity_perturbs_each_trial_as_the_oracle(spec):
+    # grad_perturb shifts each trial's own first entry of layer 1, once
+    trials = _trials_per_chunk(spec) + 1
+    got = check_homogeneity(spec, trials, 2, grad_perturb=1e-3)
+    want = check_homogeneity_per_trial(spec, trials, 2, grad_perturb=1e-3)
+    assert not got.passed
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_chunked_checks_on_a_wide_spec_take_one_trial_per_chunk():
+    spec = NetworkSpec(6, (), (64, 64, 64, 64), 64, 0.5)
+    assert _trials_per_chunk(spec) == 1
+    for got, want in [
+        (check_homogeneity(spec, 3, 1), check_homogeneity_per_trial(spec, 3, 1)),
+        (check_value_grad_bounds(spec, 3, 1), check_value_grad_bounds_per_trial(spec, 3, 1)),
+    ]:
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_rank_one_witness_tight():

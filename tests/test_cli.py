@@ -871,17 +871,31 @@ def test_idx_config_source(tmp_path):
     assert report["final_ln_test"] is not None
 
 
-def test_console_script_smoke(tmp_path):
-    cfg = _write(tmp_path, _base_config(train={"algorithm": "GD", "eta": 0.05, "total_steps": 5}))
+def _cli_child(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process with numpy's default warning filters."""
     # the child imports genbound from where this process found it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "genbound.cli", "train", "--config", cfg, "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "genbound.cli", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_console_script_smoke(tmp_path):
+    cfg = _write(tmp_path, _base_config(train={"algorithm": "GD", "eta": 0.05, "total_steps": 5}))
+    proc = _cli_child("train", "--config", cfg, "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert "bound" in proc.stdout
+
+
+def test_overflowing_run_prints_one_stderr_line(tmp_path):
+    # kappa 1e308 overflows the first forward pass; only the divergence message is printed
+    with open(os.path.join(_CONFIGS, "toy_regression.json")) as fh:
+        doc = json.load(fh)
+    doc["train"]["kappa"] = 1e308
+    out = tmp_path / "o"
+    proc = _cli_child("train", "--config", _write(tmp_path, doc), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "training diverged; partial trajectory written\n"
+    assert (out / "trajectory.csv").read_text().splitlines()[-1].startswith("# diverged at step ")

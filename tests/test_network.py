@@ -398,6 +398,36 @@ def test_forward_batch_on_stacked_layers_matches_each_slice(spec, n):
         assert [p[i].tobytes() for p in pres] == [p.tobytes() for p in pres_i]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(5, (), (7, 6), 6, 0.5),
+        NetworkSpec(23, (2, 3), (5,), 5, 0.5),
+        NetworkSpec(23, (2, 3), (), 3, 0.0),
+    ],
+    ids=["fnn", "two-conv-fc", "two-conv-only"],
+)
+@pytest.mark.parametrize("points", ["shared", "per-slice"])
+def test_backward_batch_on_stacked_layers_matches_each_slice(spec, points):
+    # the conv-only layout writes the readout's error signal over a conv output
+    rng = np.random.default_rng(4)
+    nets = [init_gaussian(spec, 1.0, rng) for _ in range(4)]
+    stacked = Parameters._unchecked(spec, [np.stack(layers) for layers in zip(*(p.layers for p in nets))])
+    if points == "shared":
+        X = rng.uniform(-1.0, 1.0, size=(6, spec.input_dim)) / spec.input_dim
+        coef = rng.normal(size=6)
+        slices = [(X, coef)] * 4
+    else:
+        X = rng.uniform(-1.0, 1.0, size=(4, 1, spec.input_dim)) / spec.input_dim
+        coef = rng.normal(size=(4, 1))
+        slices = list(zip(X, coef))
+    grads = _backward_batch(stacked, *_forward_batch(stacked, X)[1:], coef)
+    assert [g.shape for g in grads] == [(4, *shape) for shape in spec.layer_shapes]
+    for i, (params, (x, c)) in enumerate(zip(nets, slices)):
+        want = _backward_batch(params, *_forward_batch(params, x)[1:], c)
+        assert [g[i].tobytes() for g in grads] == [g.tobytes() for g in want]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cnn=st.booleans(),
