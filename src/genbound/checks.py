@@ -117,12 +117,32 @@ def random_ball_points(rng, n: int, d: int) -> np.ndarray:
 # Identities and inequalities
 
 
-# Bytes of stacked layers per chunk of trials in check_homogeneity and
-# check_value_grad_bounds: all 25 trials of a 64-wide spec would stack
-# 800 KB per layer.  At 64 KB the two suites' tracemalloc peaks stay
-# below the rademacher suite's (196 and 177 KB); 128 KB ran about 5%
-# faster but nearly doubled them (374 and 366 KB)
-_TRIAL_CHUNK_BYTES = 64 * 1024
+# Bytes of stacked layers and activations per chunk of networks, the
+# trials of check_homogeneity and check_value_grad_bounds and the
+# hypotheses of mc_rademacher_lower: all 25 trials of a 64-wide spec would
+# stack 800 KB per layer.  At 64 KB the two trial suites' tracemalloc
+# peaks stay below the rademacher suite's; 128 KB ran about 5% faster but
+# nearly doubled them
+_CHUNK_BYTES = 64 * 1024
+
+
+def _per_chunk(spec: NetworkSpec, count: int, points: int) -> int:
+    """Networks of the spec per stacked chunk of `count`, each evaluated on `points` inputs.
+
+    As many as _CHUNK_BYTES of float64 layers and activations hold, at least one.
+    """
+    entries = sum(spec.layer_sizes()) + points * sum(spec.widths)
+    return max(1, min(count, _CHUNK_BYTES // (8 * entries)))
+
+
+def _stacked_layers(spec: NetworkSpec, z: np.ndarray) -> list[np.ndarray]:
+    """Views of z, one network's layers per row in order, as layers with a leading axis."""
+    layers = []
+    end = 0
+    for q, shape in zip(spec.layer_sizes(), spec.layer_shapes):
+        layers.append(z[:, end : end + q].reshape(z.shape[0], *shape))
+        end += q
+    return layers
 
 
 def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
@@ -137,7 +157,7 @@ def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
     """
     sizes = spec.layer_sizes()
     ends = np.cumsum(sizes).tolist()
-    per_chunk = max(1, min(trials, _TRIAL_CHUNK_BYTES // (8 * ends[-1])))
+    per_chunk = _per_chunk(spec, trials, 1)
     roots = [math.sqrt(q) for q in sizes]
     # one set of buffers for every chunk, so a chunk's arrays are valid until the next
     z = np.empty((per_chunk, ends[-1]))
@@ -153,10 +173,7 @@ def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
                 row[end - q : end] *= kappa / root
             X[k] = random_ball_points(rng, 1, spec.input_dim)[0]
         z[:h] += 0.0  # rng.normal(0, scale) computes 0 + scale * z on this stream
-        layers = [
-            z[:h, end - q : end].reshape(h, *shape)
-            for q, end, shape in zip(sizes, ends, spec.layer_shapes)
-        ]
+        layers = _stacked_layers(spec, z[:h])
         f, grads = _value_grad(Parameters._unchecked(spec, layers), X[:h], workspace)
         yield layers, X[:h], f, grads
 
@@ -303,10 +320,8 @@ def check_norm_dynamics(traj: Trajectory, lam: float) -> CheckOutcome:
     return CheckOutcome(name, slack.size, float(np.max(slack, initial=-math.inf)), 1e-9)
 
 
-# mc_rademacher_lower's hypotheses per forward pass and sign rows per product:
-# small enough that neither the chunk nor the product becomes the largest
-# temporary array of a verify run
-_HYP_CHUNK = 25
+# mc_rademacher_lower's sign rows per product: small enough that the
+# product does not become the largest temporary array of a verify run
 _SIGN_BLOCK = 16
 
 
@@ -324,10 +339,10 @@ def mc_rademacher_lower(
     its radius Q_l; the estimate averages max over hypotheses of the
     sign-weighted output sum.  Returns (estimate, closed-form upper bound).
 
-    The hypotheses are drawn _HYP_CHUNK at a time from the one normal
-    stream, in the order and with the values init_gaussian(spec, 1.0, rng)
-    gives one hypothesis after another, and each chunk goes through one
-    forward pass.
+    The hypotheses are drawn in stacked chunks of at most _CHUNK_BYTES of
+    layers from the one normal stream, in the order and with the values
+    init_gaussian(spec, 1.0, rng) gives one hypothesis after another, and
+    each chunk goes through one forward pass.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (spec.n_layers,) or np.any(Q <= 0):
@@ -336,17 +351,18 @@ def mc_rademacher_lower(
     rng = _rng(seed)
     sizes = spec.layer_sizes()
     ends = np.cumsum(sizes).tolist()
+    per_chunk = _per_chunk(spec, hyp_samples, n)
     F = np.empty((hyp_samples, n))
-    for start in range(0, hyp_samples, _HYP_CHUNK):
-        h = min(_HYP_CHUNK, hyp_samples - start)
+    for start in range(0, hyp_samples, per_chunk):
+        h = min(per_chunk, hyp_samples - start)
         z = rng.standard_normal((h, ends[-1]))
-        layers = []
-        for q, end, shape, radius in zip(sizes, ends, spec.layer_shapes, Q):
-            # rng.normal(0, 1/sqrt(q)) computes 0 + scale * z on this stream
-            W = 0.0 + (1.0 / math.sqrt(q)) * z[:, end - q : end]
+        for q, end, radius in zip(sizes, ends, Q):
+            W = z[:, end - q : end]
+            W *= 1.0 / math.sqrt(q)
+            W += 0.0  # rng.normal(0, 1/sqrt(q)) computes 0 + scale * z on this stream
             for row in W:
                 row *= radius / _norm(row)
-            layers.append(W.reshape(h, *shape))
+        layers = _stacked_layers(spec, z)
         F[start : start + h] = _forward_batch(Parameters._unchecked(spec, layers), X)[0]
     sigma = rng.choice([-1.0, 1.0], size=(sigma_samples, n))
     # max over hypotheses a block of sign rows at a time, not the whole product

@@ -251,8 +251,7 @@ def _forward_batch(params: Parameters, X: np.ndarray, workspace: dict | None = N
             Z = np.maximum(pre, 0.0, out=pre)
         pres.append(pre)
         zs.append(Z)
-    a = params.layers[-1]
-    f = (Z @ a if a.ndim == 1 else np.matmul(Z, a[..., None])[..., 0]) * spec.out_scale
+    f = np.matmul(Z, params.layers[-1][..., None])[..., 0] * spec.out_scale
     return f, zs, pres
 
 

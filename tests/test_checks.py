@@ -92,7 +92,7 @@ def test_value_grad_bounds_pass():
 
 
 def _trials_per_chunk(spec):
-    return max(1, checks._TRIAL_CHUNK_BYTES // (8 * sum(spec.layer_sizes())))
+    return checks._per_chunk(spec, 10**6, 1)
 
 
 _CHUNKED_SPECS = [
@@ -380,16 +380,20 @@ def test_mc_rademacher_scales_with_radii():
     ],
     ids=["fnn", "cnn-1", "cnn-3"],
 )
-def test_mc_rademacher_matches_per_hypothesis_oracle(spec):
-    # the rademacher suite's specs; 37 hypotheses leave a partial last chunk
+def test_mc_rademacher_matches_per_hypothesis_oracle(spec, monkeypatch):
+    # the rademacher suite's specs; 200 hypotheses fit one chunk of the byte budget
     rng = np.random.default_rng(11)
     X = random_ball_points(rng, 8, spec.input_dim)
+    Q = rng.uniform(0.5, 2.0, size=spec.n_layers)
+    est, _ = mc_rademacher_lower(spec, Q, X, 200, 200, 3)
+    assert est == mc_rademacher_estimate_per_hypothesis(spec, Q, X, 200, 200, 3)
+    # chunks of 16 hypotheses: 37 leave a partial last chunk
+    monkeypatch.setattr(checks, "_CHUNK_BYTES", 16 * 8 * (sum(spec.layer_sizes()) + 8 * sum(spec.widths)))
+    assert checks._per_chunk(spec, 37, 8) == 16
     for seed in range(3):
         Q = rng.uniform(0.5, 2.0, size=spec.n_layers)
         est, _ = mc_rademacher_lower(spec, Q, X, 37, 200, seed)
         assert est == mc_rademacher_estimate_per_hypothesis(spec, Q, X, 37, 200, seed)
-    est, _ = mc_rademacher_lower(spec, Q, X, 200, 200, 3)
-    assert est == mc_rademacher_estimate_per_hypothesis(spec, Q, X, 200, 200, 3)
 
 
 @pytest.mark.parametrize("q1, q2, grid", [(1.3, 0.8, 4096), (0.5, 2.0, 256), (2.0, 0.1, 7)])
