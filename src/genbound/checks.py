@@ -121,8 +121,8 @@ def random_ball_points(rng, n: int, d: int) -> np.ndarray:
 # trials of check_homogeneity and check_value_grad_bounds and the
 # hypotheses of mc_rademacher_lower: all 25 trials of a 64-wide spec would
 # stack 800 KB per layer.  At 64 KB the two trial suites' tracemalloc
-# peaks stay below the rademacher suite's; 128 KB ran about 5% faster but
-# nearly doubled them
+# peaks stay below the rademacher suite's 293 KB (192 and 155 KB); 128 KB
+# ran about 8% faster but nearly doubled them (367 and 359 KB)
 _CHUNK_BYTES = 64 * 1024
 
 
