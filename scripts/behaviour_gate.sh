@@ -22,7 +22,7 @@
 # and verify --seed 0 --inject-bug, the one run of the perturbed
 # homogeneity suite, which must exit 1 on the working tree; and train
 # --seed 5 on the toy config, the one run whose seed list the command line
-# replaces.  Eleven more configs are
+# replaces.  Twelve more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -36,8 +36,10 @@
 # (train and bound, both exit 1); and a two-seed width sweep over JSON
 # integers (sweep), whose directory names and sweep.csv value column spell
 # each value as the JSON does; a two-seed lr sweep over a base config with
-# "eta": "auto" (sweep), whose values replace the resolved rate; and a
-# two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
+# "eta": "auto" (sweep), whose values replace the resolved rate; a
+# two-seed GD run on classification data whose sweep.axis is noise, swept
+# with --axis lr (sweep), the one run whose axis the command line replaces;
+# and a two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
 # (train), the one data section that is loaded and split; and
 # configs/toy_regression.json at loss_power 4 (bound, above); and
 # configs/compare_sgld.json at eta 50, whose beta=10 SGLD run diverges at
@@ -138,6 +140,16 @@ EOF
   "seeds": [0, 1]
 }
 EOF
+    cat >"$1/noise_axis.json" <<'EOF'
+{
+  "network": {"input_dim": 3, "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
+  "train": {"algorithm": "GD", "eta": 0.05, "total_steps": 50},
+  "data": {"source": "synthetic", "kind": "classification", "n_train": 64, "c_y": 0.25, "seed": 0},
+  "bound": {"lam": 0.5, "delta": 0.05},
+  "sweep": {"axis": "noise", "values": [0.02, 0.08]},
+  "seeds": [0, 1]
+}
+EOF
     cat >"$1/toy_power4.json" <<'EOF'
 {
   "network": {"input_dim": 3, "fc_widths": [16], "output_width": 16, "norm_exponent": 0.5},
@@ -210,6 +222,7 @@ run_side() {  # run_side TREE OUTDIR
         gb compare_diverge compare --config extra/compare_diverge.json --out compare_diverge
         gb sweep_width sweep --config extra/width_sweep.json --out sweep_width
         gb sweep_lr sweep --config extra/lr_sweep.json --out sweep_lr
+        gb sweep_axis_lr sweep --config extra/noise_axis.json --axis lr --out sweep_axis_lr
         gb gen_idx gen-data --kind idx-fixture --n 80 --seed 1 --out idx_fixture
         gb train_idx_sgd train --config extra/idx_sgd.json --out train_idx_sgd
         gb train_toy_seed5 train --config configs/toy_regression.json --seed 5 --out train_toy_seed5

@@ -1,11 +1,11 @@
 """Command-line entry points: train, verify, bound, compare, sweep, gen-data.
 
-All commands read a single JSON config through `load_config`, the one parse
-of it: each key has one type, one default and one rule for whether it is
-required, and unknown keys are rejected with their path.  Integer keys take
-JSON integers only, number keys integers or floats.  Before its first run a
-command range-checks every run it will make, so a config error exits 2 and
-writes no file.  Given the same config and seeds, reruns are byte-identical.
+Each run's config is one JSON document, the config file with the run's edit
+(a sweep value or a compare beta) merged in, parsed once by `_parse`: each
+key has one type, one default and one rule for whether it is required, and
+unknown keys are rejected with their path.  Before its first run a command
+range-checks every run it will make, so a config error exits 2 and writes
+no file.  Given the same config and seeds, reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,12 @@ from .training import (
 
 
 class ConfigError(ValueError):
-    pass
+    """A config fault; one in a key has `where`, its (section, key), and `rule`, what its value broke."""
+
+    def __init__(self, rule: str, where: tuple[str, str] | None = None, got: str | None = None):
+        self.rule, self.where = rule, where
+        message = rule if got is None else f"{rule}, got {got}"
+        super().__init__(message if where is None else f"section '{where[0]}' key '{where[1]}': {message}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class Config:
     betas: tuple[float, ...] | None
     loss_bound: float | None
     lip: float | None
+    doc: dict  # the document parsed, into which each run's edit is merged
 
 
 # A JSON value type: (its name in error messages, the test a value passes, the conversion).
@@ -89,10 +96,6 @@ def _is_int(v) -> bool:
 
 def _is_number(v) -> bool:
     return type(v) in (int, float)
-
-
-def _between(lo: float, hi: float):
-    return (f"a number in ({lo:g}, {hi:g})", lambda v: _is_number(v) and lo < v < hi, float)
 
 
 def _or_null(kind):
@@ -116,8 +119,8 @@ _INT = ("an integer", _is_int, int)
 _COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0, int)
 _POSITIVE_INT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
 _NUMBER = ("a number", _is_number, float)
-_POSITIVE = _between(0.0, math.inf)
-_FRACTION = _between(0.0, 1.0)
+_POSITIVE = ("a number in (0, inf)", lambda v: _is_number(v) and 0 < v < math.inf, float)
+_FRACTION = ("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1, float)
 _SHARE = ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
 _C_Y = ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1, float)
 _BOOL = ("true or false", lambda v: type(v) is bool, bool)
@@ -152,7 +155,7 @@ class _Section:
         what, accepts, convert = kind
         raw = self.values[key]
         if not accepts(raw):
-            raise ConfigError(f"section '{self.name}' key '{key}': expected {what}, got {json.dumps(raw)}")
+            raise ConfigError(f"expected {what}", (self.name, key), json.dumps(raw))
         return convert(raw)
 
     def close(self) -> None:
@@ -208,13 +211,16 @@ def _parse(doc: dict) -> Config:
         duration=tr("duration", _or_null(_NUMBER), None),
         gf_substep=tr("gf_substep", _or_null(_NUMBER), None),
         loss_power=tr("loss_power", _INT, 2),
-        lam=bd("lam", _between(0.0, bnd.LAMBDA_MAX), 0.5),
-        epsilon=bd("epsilon", _or_null(_FRACTION), None),
+        lam=bd("lam", _NUMBER, 0.5),
+        epsilon=bd("epsilon", _or_null(_NUMBER), None),
         kappa=tr("kappa", _NUMBER, 1.0),
     )
 
     source = dd("source", _one_of("synthetic", "idx"), "synthetic")
     kind = dd("kind", _one_of("regression", "classification"), "regression")
+    noise_fraction = dd("noise_fraction", _SHARE, 0.0)
+    if noise_fraction > 0.0 and source == "synthetic" and kind != "classification":
+        raise ConfigError("label noise needs binary labels (kind=classification)", ("data", "noise_fraction"))
     idx_only = _REQUIRED if source == "idx" else None
     # synthetic regression leaves c_y unread, so close() rejects the key
     reads_c_y = source == "idx" or kind == "classification"
@@ -223,7 +229,7 @@ def _parse(doc: dict) -> Config:
         kind=kind,
         n_train=dd("n_train", _POSITIVE_INT, 256),
         n_test=dd("n_test", _COUNT, 0),
-        noise_fraction=dd("noise_fraction", _SHARE, 0.0),
+        noise_fraction=noise_fraction,
         c_y=dd("c_y", _C_Y, _REQUIRED if source == "idx" else 0.25) if reads_c_y else None,
         seed=dd("seed", _COUNT, 0),
         images=dd("images", _STR, idx_only),
@@ -250,6 +256,7 @@ def _parse(doc: dict) -> Config:
         betas=cp("betas", _BETAS, in_compare),
         loss_bound=cp("loss_bound", _POSITIVE, in_compare),
         lip=cp("lip", _POSITIVE, in_compare),
+        doc=doc,
     )
     for section in (net, tr, dd, bd, sw, cp):
         section.close()
@@ -271,8 +278,6 @@ def build_datasets(config: Config):
             data.synth_classification(dc.n_test, dc.seed + 1, dc.c_y, "test") if dc.n_test else None
         )
     if dc.noise_fraction > 0.0:
-        if dc.kind != "classification":
-            raise ConfigError("noise_fraction needs binary labels (kind=classification)")
         ds = data.inject_label_noise(ds, dc.noise_fraction, dc.seed + 2)
     return ds, ds_test
 
@@ -294,25 +299,37 @@ def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
         return RunResult(cfg.eta, exc.trajectory)
 
 
-def _run_all(runs: list, out_dir: str):
-    """An iterator over the RunResults of the (config, seed) pairs `runs`, in order.
+def _run_all(doc: dict, edits: list[dict], seeds, out_dir: str):
+    """An iterator over the RunResults of `doc` with each edit merged in, at each seed, in order.
 
-    Before it returns, every run is range-checked, each distinct data
-    section is built once, in first-use order, and out_dir is made, so a
-    config error writes nothing.  Each run starts when its result is read.
+    Before it returns, every run is parsed and range-checked, each distinct
+    data section is built once, in first-use order, and out_dir is made, so
+    a config error writes nothing.  Each run starts when its result is read.
     """
-    for config, seed in runs:
+    configs = []
+    for edit in edits:
         try:
-            replace(config.train, seed=seed).validate(config.spec.n_hidden)
-        except FieldError as exc:  # a train key: lam and epsilon are range-checked when parsed
-            raise ConfigError(f"section 'train' key '{exc.field}': {exc}") from exc
-        bnd._theorem(config.train.algorithm, config.rho)  # the rho its theorem needs
+            config = _parse({**doc, **{name: {**doc.get(name, {}), **keys} for name, keys in edit.items()}})
+            try:
+                config.train.validate(config.spec.n_hidden)
+                bnd._theorem(config.train.algorithm, config.rho)
+            except FieldError as exc:  # lam and epsilon are keys of the bound section
+                section = "bound" if exc.field in ("lam", "epsilon") else "train"
+                raise ConfigError(str(exc), (section, exc.field)) from exc
+            except ValueError as exc:  # validate has checked the algorithm, so _theorem's is about rho
+                raise ConfigError(str(exc), ("bound", "rho")) from exc
+        except ConfigError as exc:  # an error in a key the edit set is a sweep value's (compare's pass)
+            section, key = exc.where or (None, None)
+            if key not in edit.get(section, {}):
+                raise
+            raise ConfigError(exc.rule, ("sweep", "values"), json.dumps(edit[section][key])) from exc
+        configs.append(config)
     datasets = {}
-    for config, _ in runs:
+    for config in configs:
         if config.data not in datasets:
             datasets[config.data] = build_datasets(config)
     os.makedirs(out_dir, exist_ok=True)
-    return (run_one(config, *datasets[config.data], seed) for config, seed in runs)
+    return (run_one(config, *datasets[config.data], seed) for config in configs for seed in seeds)
 
 
 def _fmt(v) -> str:
@@ -428,7 +445,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     seeds = config.seeds if args.seed is None else (args.seed,)
     out_dir = args.out or config.output_dir
-    results = list(_run_all([(config, s) for s in seeds], out_dir))
+    results = list(_run_all(config.doc, [{}], seeds, out_dir))
     primary = results[0]
     cl_seed_mean = None
     if len(results) > 1:
@@ -528,25 +545,20 @@ def cmd_compare(args) -> int:
     config = load_config(args.config)
     if config.betas is None:
         raise ConfigError("missing required section 'compare'")
-    seed = config.seeds[0]
     # one SGLD run per beta, then a GD reference, whose information bound is infinite
     jobs = [("SGLD", beta) for beta in config.betas] + [("GD", math.inf)]
-    variants = [
-        replace(config, train=replace(config.train, algorithm=algorithm, beta=beta))
-        for algorithm, beta in jobs
-    ]
+    edits = [{"train": {"algorithm": algorithm, "beta": beta}} for algorithm, beta in jobs]
     out_dir = args.out or config.output_dir
-    results = _run_all([(variant, seed) for variant in variants], out_dir)
+    results = _run_all(config.doc, edits, config.seeds[:1], out_dir)
     rows, diverged = [], False
-    for variant, res in zip(variants, results):
+    for (algorithm, beta), res in zip(jobs, results):
         traj = res.trajectory
         diverged = diverged or traj.diverged_at is not None
         report, _ = _assemble(config, traj)
-        beta = variant.train.beta
         eta_sum = float(np.sum(traj.eta[:-1]))
         info = bnd.sgld_bound(config.loss_bound, config.lip, beta, traj.n_train, eta_sum)
         cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info)]
-        rows.append(",".join([variant.train.algorithm] + cells) + "\n")
+        rows.append(",".join([algorithm] + cells) + "\n")
     path = os.path.join(out_dir, "compare.csv")
     with open(path, "w", newline="") as fh:
         fh.write("algorithm,beta,cl,bound_cl,bound_info\n")
@@ -558,33 +570,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_variant(config: Config, axis: str, value) -> Config:
-    """The config of one sweep value, after checking the value for its axis."""
-
-    def bad(rule: str) -> ConfigError:
-        return ConfigError(f"section 'sweep' key 'values': {rule}, got {json.dumps(value)}")
-
-    if axis == "width":
-        if not _is_int(value) or value < 2:
-            raise bad("width values must be integers >= 2")
-        spec = config.spec
-        if spec.conv_kernels:
-            raise ConfigError("the width axis applies to fully-connected networks")
-        width_spec = replace(
-            spec,
-            fc_widths=(value,) * len(spec.fc_widths),
-            output_width=value,
-            # keep the readout scale m^p fixed across widths
-            norm_exponent=spec.norm_exponent * math.log(spec.output_width) / math.log(value),
-        )
-        return replace(config, spec=width_spec)
+def _sweep_edit(spec: NetworkSpec, axis: str, value) -> dict:
+    """The edit of the config document that makes the run of one sweep value."""
     if axis == "lr":
-        if not value > 0:
-            raise bad("lr values must be positive")
-        return replace(config, train=replace(config.train, eta=float(value)), eta_auto=False)
-    if not 0 <= value <= 1:
-        raise bad("noise values must lie in [0, 1]")
-    return replace(config, data=replace(config.data, noise_fraction=float(value)))
+        return {"train": {"eta": value}}
+    if axis == "noise":
+        return {"data": {"noise_fraction": value}}
+    if not _is_int(value) or value < 2:
+        raise ConfigError("width values must be integers >= 2", ("sweep", "values"), json.dumps(value))
+    if spec.conv_kernels:
+        raise ConfigError("the width axis applies to fully-connected networks")
+    # keep the readout scale m^p fixed across widths
+    norm_exponent = spec.norm_exponent * math.log(spec.output_width) / math.log(value)
+    widths = [value] * len(spec.fc_widths)
+    return {"network": {"fc_widths": widths, "output_width": value, "norm_exponent": norm_exponent}}
 
 
 def cmd_sweep(args) -> int:
@@ -597,11 +596,11 @@ def cmd_sweep(args) -> int:
     names = [f"{axis}_{value}" for value in config.sweep_values]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
-        raise ConfigError(f"section 'sweep' key 'values': two values write {repeated[0]}/")
-    variants = [_sweep_variant(config, axis, value) for value in config.sweep_values]
+        raise ConfigError(f"two values write {repeated[0]}/", ("sweep", "values"))
+    edits = [_sweep_edit(config.spec, axis, value) for value in config.sweep_values]
     out_dir = args.out or config.output_dir
     # value-major, so each value's directory is written before the next value's runs start
-    results = _run_all([(variant, s) for variant in variants for s in config.seeds], out_dir)
+    results = _run_all(config.doc, edits, config.seeds, out_dir)
     rows, diverged = [], False
     for name, value in zip(names, config.sweep_values):
         value_results = [next(results) for _ in config.seeds]
@@ -644,14 +643,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _seed_option(text: str) -> int:
-    """argparse type of the --seed options, so a bad value exits 2 naming the option."""
+def _int_option(low: int, text: str) -> int:
+    """argparse type, bound to its `low`, of an integer option, so a bad value exits 2 naming the option."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
 
 
@@ -664,13 +663,13 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="run one training and emit trajectory + bound")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=_seed_option, default=None)
+    p_train.add_argument("--seed", type=partial(_int_option, 0), default=None)
     p_train.add_argument("--out", default=None)
     p_train.set_defaults(fn=cmd_train)
 
     p_verify = sub.add_parser("verify", help="run the numerical check suites")
     p_verify.add_argument("--suite", action="append", choices=list(checks.SUITE_NAMES))
-    p_verify.add_argument("--seed", type=_seed_option, default=0)
+    p_verify.add_argument("--seed", type=partial(_int_option, 0), default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=cmd_verify)
@@ -694,8 +693,8 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
     p_gen.add_argument("--kind", required=True, choices=["regression", "classification", "idx-fixture"])
-    p_gen.add_argument("--n", type=int, default=256)
-    p_gen.add_argument("--seed", type=_seed_option, default=0)
+    p_gen.add_argument("--n", type=partial(_int_option, 1), default=256)
+    p_gen.add_argument("--seed", type=partial(_int_option, 0), default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=cmd_gen_data)
 

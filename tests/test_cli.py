@@ -702,6 +702,12 @@ def test_runs_build_each_data_section_once_and_run_in_config_order(
         ("train", {"data": {"noise_fraction": -0.5}}),
         ("train --seed 3", {"seeds": [0.5]}),
         ("sweep", {"sweep": {"axis": "lr", "values": [0.05, 0.05, 0.1]}}),
+        # at the parent the last two named no key; each run's range check names the
+        # key at fault, and a base key stays named when a sweep value edits another
+        ("sweep", {"train": {"kappa": -1.0}}),
+        ("train", {"bound": {"lam": 0.7}}),
+        ("train", {"train": {"algorithm": "SGD", "batch": 8}, "bound": {"rho": None}}),
+        ("train", {"data": {"noise_fraction": 0.5}}),
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, command, override):
@@ -734,6 +740,25 @@ def test_run_check_error_writes_no_directory(tmp_path, capsys, command, override
     code = cli.main([command, "--config", _write(tmp_path, _base_config(**override)), "--out", str(out)])
     assert code == 2
     assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sweep, expected",
+    [
+        ({"axis": "lr", "values": [0.05, -0.1]}, "eta must be positive, got -0.1"),
+        ({"axis": "noise", "values": [0.0, 1.5]}, "expected a number in [0, 1], got 1.5"),
+        ({"axis": "noise", "values": [0.0, 0.5]}, "label noise needs binary labels (kind=classification), got 0.5"),
+        ({"axis": "width", "values": [4, 1]}, "width values must be integers >= 2, got 1"),
+    ],
+    ids=["lr", "noise-range", "noise-regression", "width"],
+)
+def test_sweep_value_error_names_the_value(tmp_path, capsys, sweep, expected):
+    # each value is an edit of the config document, checked as the key it sets
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _base_config(sweep=sweep))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: section 'sweep' key 'values': {expected}\n"
     assert not out.exists()
 
 
@@ -838,6 +863,17 @@ def test_gen_data_deterministic(tmp_path):
     assert cli.main(["gen-data", "--kind", "regression", "--n", "32", "--seed", "3", "--out", str(a)]) == 0
     assert cli.main(["gen-data", "--kind", "regression", "--n", "32", "--seed", "3", "--out", str(b)]) == 0
     assert _read_bytes(a) == _read_bytes(b)
+
+
+@pytest.mark.parametrize("kind", ["regression", "idx-fixture"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_data_rejects_n_below_one(tmp_path, capsys, kind, n):
+    # at the parent --n 0 wrote an empty fixture and --n -1 failed inside numpy
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-data", "--kind", kind, "--n", n, "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2
+    assert f"error: argument --n: expected an integer >= 1, got '{n}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_data_idx_fixture_loads(tmp_path):
