@@ -868,7 +868,8 @@ def test_gen_data_deterministic(tmp_path):
 @pytest.mark.parametrize("kind", ["regression", "idx-fixture"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_gen_data_rejects_n_below_one(tmp_path, capsys, kind, n):
-    # at the parent --n 0 wrote an empty fixture and --n -1 failed inside numpy
+    # at the parent these passed argparse: --n 0 wrote an empty idx fixture, and the
+    # others failed later with errors that named no option
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen-data", "--kind", kind, "--n", n, "--out", str(tmp_path / "d")])
     assert exc.value.code == 2
