@@ -7,11 +7,11 @@
 # Each side runs with its own src/ on PYTHONPATH, in its own directory, with
 # relative paths, so the outputs name no side.  Commands: train, compare and
 # sweep on every configs/*.json, bound on the toy_regression trajectory,
-# and bound on that trajectory with two configs that do not reproduce it,
-# the only runs of bound's recheck failure path (both exit 2):
-# configs/compare_sgld.json (SGLD on 128 points against the run's 256,
-# caught at bound_prefix row 0) and the toy config at loss_power 4
-# (caught at psi row 0);
+# and bound on that trajectory with three configs of another run (all exit
+# 2): configs/compare_sgld.json, whose SGLD sets no beta, so bound's range
+# check stops it at section 'train' key 'beta' before the CSV is read, and
+# the two runs of bound's recheck failure path, the toy config at delta 0.1
+# (caught at bound_prefix row 0) and at loss_power 4 (caught at psi row 0);
 # train on bench/wide_gd.json, verify --seed 0 and --seed 3 (a second
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), verify --seed 7 on homogeneity and value-bounds (a third
@@ -22,7 +22,7 @@
 # and verify --seed 0 --inject-bug, the one run of the perturbed
 # homogeneity suite, which must exit 1 on the working tree; and train
 # --seed 5 on the toy config, the one run whose seed list the command line
-# replaces.  Twelve more configs are
+# replaces.  Fourteen more configs are
 # written by this script, the same on both sides, to cover the paths the
 # shipped configs miss: a two-seed gradient-flow run with loss_power 4, a
 # test set and an SVG chart (train and bound); a two-seed minibatch SGD run
@@ -40,8 +40,10 @@
 # two-seed GD run on classification data whose sweep.axis is noise, swept
 # with --axis lr (sweep), the one run whose axis the command line replaces;
 # and a two-seed SGD run on an IDX fixture written by gen-data --kind idx-fixture
-# (train), the one data section that is loaded and split; and
-# configs/toy_regression.json at loss_power 4 (bound, above); and
+# (train), the one data section that is loaded and split, and the same run
+# at noise_fraction 0.25 (train), the one run of label noise on a loaded
+# split; configs/toy_regression.json at delta 0.1 and at loss_power 4
+# (bound, above); and
 # configs/compare_sgld.json at eta 50, whose beta=10 SGLD run diverges at
 # step 3 (compare, which exits 1 from the working tree).
 # Exits 1 on any difference, 2 on a usage error.  Set TMPDIR to choose where the two trees
@@ -170,10 +172,16 @@ EOF
   "seeds": [0, 1]
 }
 EOF
-    python3 -c 'import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["train"]["eta"] = 50
-json.dump(doc, open(sys.argv[2], "w"), indent=2)' "$repo/configs/compare_sgld.json" "$1/compare_diverge.json"
+    edit_config() {  # edit_config SRC DST SECTION KEY VALUE: SRC with one key set, as DST
+        python3 -c 'import json, sys
+src, dst, section, key, value = sys.argv[1:]
+doc = json.load(open(src))
+doc[section][key] = json.loads(value)
+json.dump(doc, open(dst, "w"), indent=2)' "$@"
+    }
+    edit_config "$repo/configs/compare_sgld.json" "$1/compare_diverge.json" train eta 50
+    edit_config "$repo/configs/toy_regression.json" "$1/toy_delta.json" bound delta 0.1
+    edit_config "$1/idx_sgd.json" "$1/idx_noise.json" data noise_fraction 0.25
 }
 
 run_side() {  # run_side TREE OUTDIR
@@ -209,6 +217,8 @@ run_side() {  # run_side TREE OUTDIR
             --trajectory train_toy_regression/trajectory.csv --out bound_toy.json
         gb bound_toy_as_sgld bound --config configs/compare_sgld.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy_as_sgld.json
+        gb bound_toy_delta bound --config extra/toy_delta.json \
+            --trajectory train_toy_regression/trajectory.csv --out bound_toy_delta.json
         gb bound_toy_power4 bound --config extra/toy_power4.json \
             --trajectory train_toy_regression/trajectory.csv --out bound_toy_power4.json
         gb train_wide_gd train --config wide_gd.json --out train_wide_gd
@@ -225,6 +235,7 @@ run_side() {  # run_side TREE OUTDIR
         gb sweep_axis_lr sweep --config extra/noise_axis.json --axis lr --out sweep_axis_lr
         gb gen_idx gen-data --kind idx-fixture --n 80 --seed 1 --out idx_fixture
         gb train_idx_sgd train --config extra/idx_sgd.json --out train_idx_sgd
+        gb train_idx_noise train --config extra/idx_noise.json --out train_idx_noise
         gb train_toy_seed5 train --config configs/toy_regression.json --seed 5 --out train_toy_seed5
         gb verify verify --seed 0 --out verify.json
         gb verify3 verify --seed 3 --out verify3.json

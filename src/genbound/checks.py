@@ -120,9 +120,9 @@ def random_ball_points(rng, n: int, d: int) -> np.ndarray:
 # Bytes of stacked layers and activations per chunk of networks, the
 # trials of check_homogeneity and check_value_grad_bounds and the
 # hypotheses of mc_rademacher_lower: all 25 trials of a 64-wide spec would
-# stack 800 KB per layer.  At 64 KB the two trial suites' tracemalloc
-# peaks stay below the rademacher suite's 293 KB (192 and 155 KB); 128 KB
-# ran about 8% faster but nearly doubled them (367 and 359 KB)
+# stack 800 KB per layer.  At 64 KB the trial suites' tracemalloc peaks
+# stay below the rademacher suite's 293 KB (270 and 259 KB, ~100 KB of it
+# numpy buffers for the kappa scale); 128 KB lifts them to 449 and 440 KB
 _CHUNK_BYTES = 64 * 1024
 
 
@@ -148,34 +148,34 @@ def _stacked_layers(spec: NetworkSpec, z: np.ndarray) -> list[np.ndarray]:
 def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
     """Random trials in stacked chunks: yields (layers, points, outputs, gradients).
 
-    Trial i draws from _rng(seed, i) its kappa in [0.5, 2), its layers with
-    the values init_gaussian(spec, kappa, rng) gives and a point in the unit
-    ball, straight into the chunk's buffers.  Each chunk then goes through
-    one forward and one backward pass over a leading trial axis, so every
-    array gains that axis and each trial keeps the bits of its own pass.
-    The arrays yielded are buffers the next chunk overwrites.
+    One stream, _rng(seed, 5000), a key no other draw uses, gives every
+    trial's kappa in [0.5, 2), then every trial's point in the unit ball,
+    then the layers: trial k holds init_gaussian(spec, kappas[k], rng)
+    continuing the stream and points[k], whatever the chunk size.  Each
+    chunk's normals go straight into its buffer, then through one forward
+    and one backward pass over a leading trial axis, so each trial keeps
+    the bits of its own pass.  The arrays yielded are buffers the next
+    chunk overwrites.
     """
+    rng = _rng(seed, 5000)
+    kappas = rng.uniform(0.5, 2.0, size=trials)
+    points = random_ball_points(rng, trials, spec.input_dim)
     sizes = spec.layer_sizes()
     ends = np.cumsum(sizes).tolist()
     per_chunk = _per_chunk(spec, trials, 1)
-    roots = [math.sqrt(q) for q in sizes]
-    # one set of buffers for every chunk, so a chunk's arrays are valid until the next
+    # one buffer for every chunk, so a chunk's arrays are valid until the next
     z = np.empty((per_chunk, ends[-1]))
-    X = np.empty((per_chunk, spec.input_dim))
     workspace: dict = {}
     for start in range(0, trials, per_chunk):
         h = min(per_chunk, trials - start)
-        for k, row in enumerate(z[:h]):
-            rng = _rng(seed, start + k)
-            kappa = rng.uniform(0.5, 2.0)
-            rng.standard_normal(out=row)  # every layer's normals, in init_gaussian's order
-            for q, end, root in zip(sizes, ends, roots):
-                row[end - q : end] *= kappa / root
-            X[k] = random_ball_points(rng, 1, spec.input_dim)[0]
+        rng.standard_normal(out=z[:h])  # each trial's layers in init_gaussian's order
+        for q, end in zip(sizes, ends):
+            z[:h, end - q : end] *= (kappas[start : start + h] / math.sqrt(q))[:, None]
         z[:h] += 0.0  # rng.normal(0, scale) computes 0 + scale * z on this stream
         layers = _stacked_layers(spec, z[:h])
-        f, grads = _value_grad(Parameters._unchecked(spec, layers), X[:h], workspace)
-        yield layers, X[:h], f, grads
+        X = points[start : start + h]
+        f, grads = _value_grad(Parameters._unchecked(spec, layers), X, workspace)
+        yield layers, X, f, grads
 
 
 def check_homogeneity(
@@ -434,22 +434,15 @@ def _merge(name: str, outcomes: list[CheckOutcome]) -> CheckOutcome:
 def _suite_homogeneity(seed: int, inject_bug: bool = False) -> list[CheckOutcome]:
     perturb = 1e-3 if inject_bug else 0.0
     rng = _rng(seed, 1000)
-    fnn = [
-        check_homogeneity(random_fnn_spec(rng), 25, seed + i, perturb) for i in range(20)
-    ]
-    cnn = [
-        check_homogeneity(random_cnn_spec(rng), 25, seed + 100 + i, perturb)
-        for i in range(20)
-    ]
+    fnn = [check_homogeneity(random_fnn_spec(rng), 25, seed + i, perturb) for i in range(20)]
+    cnn = [check_homogeneity(random_cnn_spec(rng), 25, seed + 100 + i, perturb) for i in range(20)]
     return [_merge("homogeneity-fnn", fnn), _merge("homogeneity-cnn", cnn)]
 
 
 def _suite_value_bounds(seed: int) -> list[CheckOutcome]:
     rng = _rng(seed, 2000)
     outs = [check_value_grad_bounds(random_fnn_spec(rng), 25, seed + i) for i in range(20)]
-    outs += [
-        check_value_grad_bounds(random_cnn_spec(rng), 25, seed + 100 + i) for i in range(20)
-    ]
+    outs += [check_value_grad_bounds(random_cnn_spec(rng), 25, seed + 100 + i) for i in range(20)]
     return [_merge("value-grad-bounds", outs), aligned_rank_one_witness(6, 5, seed)]
 
 

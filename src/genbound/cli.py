@@ -264,21 +264,22 @@ def _parse(doc: dict) -> Config:
 
 
 def build_datasets(config: Config):
-    """Returns (train dataset, test dataset or None) from the data section."""
+    """Returns (train dataset, test dataset or None); label noise goes into the train split only."""
     dc = config.data
     if dc.source == "idx":
         ds_all = data.load_idx(dc.images, dc.labels, dc.keep, dc.c_y)
-        return data.split(ds_all, dc.train_fraction, dc.seed)
-    if dc.kind == "regression":
+        ds, ds_test = data.split(ds_all, dc.train_fraction, dc.seed)
+    elif dc.kind == "regression":
         ds = data.synth_regression(dc.n_train, dc.seed)
         ds_test = data.synth_regression(dc.n_test, dc.seed + 1, "test") if dc.n_test else None
     else:
         ds = data.synth_classification(dc.n_train, dc.seed, dc.c_y)
-        ds_test = (
-            data.synth_classification(dc.n_test, dc.seed + 1, dc.c_y, "test") if dc.n_test else None
-        )
+        ds_test = data.synth_classification(dc.n_test, dc.seed + 1, dc.c_y, "test") if dc.n_test else None
     if dc.noise_fraction > 0.0:
-        ds = data.inject_label_noise(ds, dc.noise_fraction, dc.seed + 2)
+        try:
+            ds = data.inject_label_noise(ds, dc.noise_fraction, dc.seed + 2)
+        except ValueError as exc:  # an IDX train split may hold a single label value
+            raise ConfigError(str(exc), ("data", "noise_fraction")) from exc
     return ds, ds_test
 
 
@@ -299,6 +300,18 @@ def run_one(config: Config, ds, ds_test, seed: int) -> RunResult:
         return RunResult(cfg.eta, exc.trajectory)
 
 
+def _check_run(config: Config) -> None:
+    """Range-check a run's train and bound keys, as ConfigErrors that name the key."""
+    try:
+        config.train.validate(config.spec.n_hidden)
+        bnd._theorem(config.train.algorithm, config.rho)
+    except FieldError as exc:  # lam and epsilon are keys of the bound section
+        section = "bound" if exc.field in ("lam", "epsilon") else "train"
+        raise ConfigError(str(exc), (section, exc.field)) from exc
+    except ValueError as exc:  # validate has checked the algorithm, so _theorem's is about rho
+        raise ConfigError(str(exc), ("bound", "rho")) from exc
+
+
 def _run_all(doc: dict, edits: list[dict], seeds, out_dir: str):
     """An iterator over the RunResults of `doc` with each edit merged in, at each seed, in order.
 
@@ -310,14 +323,7 @@ def _run_all(doc: dict, edits: list[dict], seeds, out_dir: str):
     for edit in edits:
         try:
             config = _parse({**doc, **{name: {**doc.get(name, {}), **keys} for name, keys in edit.items()}})
-            try:
-                config.train.validate(config.spec.n_hidden)
-                bnd._theorem(config.train.algorithm, config.rho)
-            except FieldError as exc:  # lam and epsilon are keys of the bound section
-                section = "bound" if exc.field in ("lam", "epsilon") else "train"
-                raise ConfigError(str(exc), (section, exc.field)) from exc
-            except ValueError as exc:  # validate has checked the algorithm, so _theorem's is about rho
-                raise ConfigError(str(exc), ("bound", "rho")) from exc
+            _check_run(config)
         except ConfigError as exc:  # an error in a key the edit set is a sweep value's (compare's pass)
             section, key = exc.where or (None, None)
             if key not in edit.get(section, {}):
@@ -496,6 +502,7 @@ def cmd_train(args) -> int:
 
 def cmd_bound(args) -> int:
     config = load_config(args.config)
+    _check_run(config)
     traj, logged = read_trajectory_csv(args.trajectory, config)
     report, series = _assemble(config, traj)
     for name, what, want, depends in (

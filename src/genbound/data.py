@@ -169,7 +169,7 @@ def inject_label_noise(ds: Dataset, fraction: float, seed: int) -> Dataset:
         raise ValueError("fraction must lie in [0, 1]")
     values = np.unique(ds.targets)
     if values.shape[0] != 2:
-        raise ValueError("label noise needs a binary-labelled dataset")
+        raise ValueError(f"label noise needs two label values, got {values.shape[0]}")
     k = int(fraction * ds.n)
     y = ds.targets.copy()
     if k > 0:

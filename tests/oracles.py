@@ -320,19 +320,30 @@ def exhaustive_rademacher_tiny_concat(q1: float, q2: float, grid: int = 4096) ->
     return float(total / 4.0 / 2.0)
 
 
+def trials_one_at_a_time(spec, trials: int, seed: int):
+    """Yields (parameters, point) of each random trial of the trial checks, one trial at a time.
+
+    The trial contract: one stream keyed (seed, 5000) gives every kappa,
+    then every point, then trial k's layers as init_gaussian(spec,
+    kappas[k], rng) continuing the stream.
+    """
+    rng = _rng(seed, 5000)
+    kappas = rng.uniform(0.5, 2.0, size=trials)
+    points = random_ball_points(rng, trials, spec.input_dim)
+    for k in range(trials):
+        yield init_gaussian(spec, kappas[k], rng), points[k]
+
+
 def check_homogeneity_per_trial(spec, trials: int, seed: int, grad_perturb: float = 0.0):
     """The homogeneity check drawing and differentiating one trial at a time.
 
     The exception to the different-style rule: the package's check before
-    it stacked its trials, kept operation for operation so a comparison can
-    be bitwise.
+    it stacked its trials, kept operation for operation on the trials of
+    `trials_one_at_a_time` so a comparison can be bitwise.
     """
     worst = 0.0
     L1 = spec.n_layers
-    for i in range(trials):
-        rng = _rng(seed, i)
-        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
-        x = random_ball_points(rng, 1, spec.input_dim)[0]
+    for params, x in trials_one_at_a_time(spec, trials, seed):
         f, grads = _value_grad(params, x)
         f = float(f)
         if grad_perturb:
@@ -353,10 +364,7 @@ def check_value_grad_bounds_per_trial(spec, trials: int, seed: int):
     """
     worst = -math.inf
     L = spec.n_hidden
-    for i in range(trials):
-        rng = _rng(seed, i)
-        params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
-        x = random_ball_points(rng, 1, spec.input_dim)[0]
+    for params, x in trials_one_at_a_time(spec, trials, seed):
         xn = _norm(x)
         f, grads = _value_grad(params, x)
         f = float(f)

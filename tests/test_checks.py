@@ -42,6 +42,7 @@ from oracles import (
     mc_rademacher_estimate_per_hypothesis,
     norm_dynamics_worst,
     sample_kink_free,
+    trials_one_at_a_time,
 )
 
 
@@ -103,14 +104,13 @@ _CHUNKED_SPECS = [
 
 @pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
 def test_trial_chunks_hold_each_trials_own_draws_and_pass(spec):
-    # trial i is drawn from its own stream, whichever chunk it lands in
+    # trial k is init_gaussian(spec, kappas[k], rng) continuing the one stream, whichever chunk it lands in
     trials = 2 * _trials_per_chunk(spec) + 1
+    one_at_a_time = trials_one_at_a_time(spec, trials, 4)
     i = 0
     for layers, X, f, grads in checks._trial_chunks(spec, trials, 4):
         for k in range(f.shape[0]):
-            rng = checks._rng(4, i)
-            params = init_gaussian(spec, rng.uniform(0.5, 2.0), rng)
-            x = random_ball_points(rng, 1, spec.input_dim)[0]
+            params, x = next(one_at_a_time)
             f_i, grads_i = _value_grad(params, x)
             assert [W[k].tobytes() for W in layers] == [W.tobytes() for W in params.layers]
             assert X[k].tobytes() == x.tobytes()
@@ -118,6 +118,15 @@ def test_trial_chunks_hold_each_trials_own_draws_and_pass(spec):
             assert [g[k].tobytes() for g in grads] == [g.tobytes() for g in grads_i]
             i += 1
     assert i == trials
+
+
+def test_trial_chunks_draw_the_same_trials_at_any_chunk_size(monkeypatch):
+    # kappas and points come before every normal, so the chunk budget moves no draw
+    names = ["homogeneity", "value-bounds"]
+    want = [json.dumps(o.to_dict()) for o in run_suites(names, seed=3)]
+    for budget in (8 * 1024, 1024 * 1024):
+        monkeypatch.setattr(checks, "_CHUNK_BYTES", budget)
+        assert [json.dumps(o.to_dict()) for o in run_suites(names, seed=3)] == want, budget
 
 
 @pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])

@@ -433,14 +433,45 @@ def test_bound_rejects_shipped_config_of_another_run(tmp_path, capsys):
     assert cli.main(["train", "--config", os.path.join(_CONFIGS, "toy_regression.json"), "--out", str(out)]) == 0
     capsys.readouterr()
     report_path = tmp_path / "r.json"
+    # as shipped, the SGLD config sets no train.beta, which only compare fills in
     code = cli.main([
         "bound", "--config", os.path.join(_CONFIGS, "compare_sgld.json"),
+        "--trajectory", str(out / "trajectory.csv"), "--out", str(report_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: section 'train' key 'beta': SGLD needs beta > 0")
+    # with a beta it passes the range check and fails the recheck of the CSV
+    with open(os.path.join(_CONFIGS, "compare_sgld.json")) as fh:
+        doc = json.load(fh)
+    doc["train"]["beta"] = 100.0
+    code = cli.main([
+        "bound", "--config", _write(tmp_path, doc),
         "--trajectory", str(out / "trajectory.csv"), "--out", str(report_path),
     ])
     assert code == 2
     err = capsys.readouterr().err
     assert "column bound_prefix differs from the config's bound at data row 0: CSV " in err
     assert "n, lam, delta, rho, the algorithm and the network" in err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize(
+    "bound_section, expected",
+    [
+        ({"lam": 0.7}, "section 'bound' key 'lam': lam must lie in (0, 1/sqrt(3))"),
+        ({"epsilon": 1.5}, "section 'bound' key 'epsilon': epsilon must lie in (0, 1)"),
+    ],
+    ids=["lam", "epsilon"],
+)
+def test_bound_range_checks_the_run_before_reading_the_csv(tmp_path, capsys, bound_section, expected):
+    # train's range check runs first, so no CSV is opened: lam's error names its key and epsilon is rejected
+    report_path = tmp_path / "r.json"
+    code = cli.main([
+        "bound", "--config", _write(tmp_path, _base_config(bound=bound_section)),
+        "--trajectory", str(tmp_path / "missing.csv"), "--out", str(report_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
     assert not report_path.exists()
 
 
@@ -906,6 +937,59 @@ def test_idx_config_source(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["n"] == 45
     assert report["final_ln_test"] is not None
+
+
+def _idx_config(stem, noise_fraction, seed=0):
+    return _base_config(
+        network={"input_dim": 16, "fc_widths": [8], "output_width": 8, "norm_exponent": 0.5},
+        data={
+            "source": "idx",
+            "images": stem + "-images.idx",
+            "labels": stem + "-labels.idx",
+            "keep": [0, 1],
+            "c_y": 0.25,
+            "train_fraction": 0.75,
+            "noise_fraction": noise_fraction,
+            "seed": seed,
+        },
+    )
+
+
+def test_idx_label_noise_enters_the_train_split(tmp_path):
+    # the noise step covers a loaded IDX split too, so a noisy run trains on other labels than a clean one
+    from genbound.data import inject_label_noise, load_idx, split
+
+    stem = str(tmp_path / "fix")
+    assert cli.main(["gen-data", "--kind", "idx-fixture", "--n", "80", "--seed", "1", "--out", stem]) == 0
+    config = cli.load_config(_write(tmp_path, _idx_config(stem, 0.5, seed=3)))
+    clean, clean_test = split(load_idx(stem + "-images.idx", stem + "-labels.idx", (0, 1), 0.25), 0.75, 3)
+    ds, ds_test = cli.build_datasets(config)
+    assert ds.targets.tobytes() == inject_label_noise(clean, 0.5, 5).targets.tobytes()
+    assert ds.targets.tobytes() != clean.targets.tobytes()
+    assert ds.inputs.tobytes() == clean.inputs.tobytes()
+    assert ds_test.targets.tobytes() == clean_test.targets.tobytes()
+    trajectories = []
+    for noise_fraction in (0.0, 0.5):
+        out = tmp_path / f"noise_{noise_fraction}"
+        cfg = _write(tmp_path, _idx_config(stem, noise_fraction), f"noise_{noise_fraction}.json")
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+        trajectories.append(_read_bytes(out / "trajectory.csv"))
+    assert trajectories[0] != trajectories[1]
+
+
+def test_idx_label_noise_on_one_label_value_names_the_key(tmp_path, capsys):
+    from genbound.data import write_idx
+
+    stem = str(tmp_path / "fix")
+    images = np.random.default_rng(0).integers(0, 256, size=(40, 4, 4), dtype=np.uint8)
+    write_idx(images, np.zeros(40, np.uint8), stem + "-images.idx", stem + "-labels.idx")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", _write(tmp_path, _idx_config(stem, 0.0)), "--out", str(out)]) == 0
+    out = tmp_path / "noisy"
+    assert cli.main(["train", "--config", _write(tmp_path, _idx_config(stem, 0.25)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: section 'data' key 'noise_fraction': label noise needs two label values, got 1\n"
+    assert not out.exists()
 
 
 def _cli_child(*args: str) -> subprocess.CompletedProcess:
