@@ -16,7 +16,9 @@
 # seed, so a change to the random streams or their summation shows at more
 # than one draw), verify --seed 7 on homogeneity and value-bounds (a third
 # draw of the two suites whose trials run in stacked chunks, so a change to
-# their chunked summation shows at more specs), verify --seed 2 on
+# their chunked summation shows at more specs), verify --seed 11 on
+# rademacher and value-bounds (a fourth draw of the two suites whose
+# norms are taken per chunk), verify --seed 2 on
 # rademacher, init-concentration, rademacher (outcomes in request order
 # when a suite is requested twice),
 # and verify --seed 0 --inject-bug, the one run of the perturbed
@@ -240,6 +242,7 @@ run_side() {  # run_side TREE OUTDIR
         gb verify verify --seed 0 --out verify.json
         gb verify3 verify --seed 3 --out verify3.json
         gb verify7 verify --seed 7 --suite homogeneity --suite value-bounds --out verify7.json
+        gb verify11 verify --seed 11 --suite rademacher --suite value-bounds --out verify11.json
         gb verify_order verify --suite rademacher --suite init-concentration \
             --suite rademacher --seed 2 --out verify_order.json
         gb verify_bug verify --seed 0 --inject-bug --out verify_bug.json

@@ -21,7 +21,6 @@ from .network import (
     Parameters,
     _forward_batch,
     _loss_grad_outputs,
-    _norm,
     _value_grad,
     batch_outputs,
     init_gaussian,
@@ -120,10 +119,13 @@ def random_ball_points(rng, n: int, d: int) -> np.ndarray:
 # Bytes of stacked layers and activations per chunk of networks, the
 # trials of check_homogeneity and check_value_grad_bounds and the
 # hypotheses of mc_rademacher_lower: all 25 trials of a 64-wide spec would
-# stack 800 KB per layer.  At 64 KB the trial suites' tracemalloc peaks
-# stay below the rademacher suite's 293 KB (270 and 259 KB, ~100 KB of it
-# numpy buffers for the kappa scale); 128 KB lifts them to 449 and 440 KB
-_CHUNK_BYTES = 64 * 1024
+# stack 800 KB per layer.  A chunk's layers and its gradients are live at
+# once, so the trial suites' tracemalloc peaks grow about 2 KB per KB of
+# budget.  At 160 KB they are 383 KB (homogeneity, 64 KB of it numpy's
+# buffer for the product of the strided layers and the gradients) and
+# 335 KB (value-bounds), and the rademacher suite's is 293 KB, under the
+# 400 KB the tests allow; 168 KB lifts homogeneity to 410 KB
+_CHUNK_BYTES = 160 * 1024
 
 
 def _per_chunk(spec: NetworkSpec, count: int, points: int) -> int:
@@ -143,6 +145,12 @@ def _stacked_layers(spec: NetworkSpec, z: np.ndarray) -> list[np.ndarray]:
         layers.append(z[:, end : end + q].reshape(z.shape[0], *shape))
         end += q
     return layers
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each A[k]'s entries: one ddot per row, so network._norm(A[k])'s bits."""
+    R = A.reshape(A.shape[0], -1)
+    return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
 
 
 def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
@@ -168,14 +176,24 @@ def _trial_chunks(spec: NetworkSpec, trials: int, seed: int):
     workspace: dict = {}
     for start in range(0, trials, per_chunk):
         h = min(per_chunk, trials - start)
+        if h < per_chunk:  # a shorter last chunk's buffers are the first h rows of the kept ones
+            workspace = {key: buf[:h] for key, buf in workspace.items()}
         rng.standard_normal(out=z[:h])  # each trial's layers in init_gaussian's order
         for q, end in zip(sizes, ends):
-            z[:h, end - q : end] *= (kappas[start : start + h] / math.sqrt(q))[:, None]
+            # one contiguous row at a time: a broadcast (h, 1) factor makes numpy
+            # allocate up to 192 KB of iterator buffers for the multiply
+            for row, c in zip(z[:h, end - q : end], (kappas[start : start + h] / math.sqrt(q)).tolist()):
+                row *= c
         z[:h] += 0.0  # rng.normal(0, scale) computes 0 + scale * z on this stream
         layers = _stacked_layers(spec, z[:h])
         X = points[start : start + h]
         f, grads = _value_grad(Parameters._unchecked(spec, layers), X, workspace)
         yield layers, X, f, grads
+
+
+def _worst(worst: float, violations) -> float:
+    """The largest of worst and the violations; NaN if any of them is NaN, so a NaN fails."""
+    return float(np.max(np.concatenate([np.ravel(v) for v in violations]), initial=worst))
 
 
 def check_homogeneity(
@@ -184,7 +202,8 @@ def check_homogeneity(
     """<layer, d f/d layer> = f per layer and <theta, grad f> = (L+1) f.
 
     grad_perturb shifts each trial's first gradient entry and exists so
-    callers can prove the check is able to fail.
+    callers can prove the check is able to fail.  Each chunk's dots, sums
+    and violations are taken over its trials at once.
     """
     worst = 0.0
     L1 = spec.n_layers
@@ -193,17 +212,13 @@ def check_homogeneity(
         if grad_perturb:
             grads[0].reshape(h, -1)[:, 0] += grad_perturb  # a view: the gradients are contiguous
         # np.sum's reduction over each trial's products, written over the gradients
-        dots = [
-            np.add.reduce(np.multiply(W, g, out=g).reshape(h, -1), axis=1).tolist()
-            for W, g in zip(layers, grads)
-        ]
-        for k, fk in enumerate(f.tolist()):
-            total = 0.0
-            for layer_dots in dots:
-                dot = layer_dots[k]
-                total += dot
-                worst = max(worst, _rel(abs(dot - fk), fk))
-            worst = max(worst, _rel(abs(total - L1 * fk), L1 * fk))
+        dots = np.array(
+            [np.add.reduce(np.multiply(W, g, out=g).reshape(h, -1), axis=1) for W, g in zip(layers, grads)]
+        )
+        total = np.zeros(h)
+        for layer_dots in dots:  # the per-trial running sum, layer by layer
+            total += layer_dots
+        worst = _worst(worst, [_rel(np.abs(dots - f), f), _rel(np.abs(total - L1 * f), L1 * f)])
     return CheckOutcome("homogeneity", trials, worst, 1e-9)
 
 
@@ -214,28 +229,36 @@ def check_value_grad_bounds(spec: NetworkSpec, trials: int, seed: int) -> CheckO
         <= (1/m^p) ||theta||^(L+1) ||x|| / (L+1)^((L+1)/2), and
     ||d f/d layer_l|| <= (1/m^p) prod_{i != l} ||layer_i|| ||x||
         <= (1/m^p) ||theta||^L ||x|| / L^(L/2).
-    The norms and their products are taken one trial at a time.
+    Each chunk's norms, products and ratios are taken over its trials at
+    once; the powers of ||theta|| are Python float powers per trial, since
+    numpy's array pow may differ in the last bit.
     """
     worst = -math.inf
     L = spec.n_hidden
     scale = spec.out_scale
     for layers, X, f, grads in _trial_chunks(spec, trials, seed):
-        for k, fk in enumerate(f.tolist()):
-            xn = _norm(X[k])
-            norms = np.array([_norm(W[k]) for W in layers])
-            total = math.sqrt(np.add.reduce(norms**2))
-            prod_all = float(np.prod(norms))
-            val_mid = scale * prod_all * xn
-            val_top = scale * total ** (L + 1) * xn / (L + 1) ** ((L + 1) / 2.0)
-            worst = max(worst, _rel(abs(fk) - val_mid, val_mid), _rel(val_mid - val_top, val_top))
-            for l, g in enumerate(grads):
-                gn = _norm(g[k])
-                others = prod_all / norms[l] if norms[l] > 0 else float(
-                    np.prod(np.delete(norms, l))
-                )
-                g_mid = scale * others * xn
-                g_top = scale * total**L * xn / L ** (L / 2.0)
-                worst = max(worst, _rel(gn - g_mid, g_mid), _rel(g_mid - g_top, g_top))
+        xn = _row_norms(X)
+        norms = np.stack([_row_norms(W) for W in layers], axis=1)  # (trials, layers), as gn
+        gn = np.stack([_row_norms(g) for g in grads], axis=1)
+        totals = np.sqrt(np.add.reduce(norms**2, axis=1)).tolist()
+        prod_all = np.multiply.reduce(norms, axis=1)
+        # prod_{i != l} ||layer_i|| as prod_all / ||layer_l||, unless that norm is 0 (or NaN)
+        others = np.divide(prod_all[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
+        for k, l in np.argwhere(~(norms > 0)):
+            others[k, l] = np.prod(np.delete(norms[k], l))
+        val_mid = scale * prod_all * xn
+        val_top = scale * np.array([t ** (L + 1) for t in totals]) * xn / (L + 1) ** ((L + 1) / 2.0)
+        g_mid = scale * others * xn[:, None]
+        g_top = (scale * np.array([t**L for t in totals]) * xn / L ** (L / 2.0))[:, None]
+        worst = _worst(
+            worst,
+            [
+                _rel(np.abs(f) - val_mid, val_mid),
+                _rel(val_mid - val_top, val_top),
+                _rel(gn - g_mid, g_mid),
+                _rel(g_mid - g_top, g_top),
+            ],
+        )
     return CheckOutcome("value-grad-bounds", trials, worst, 1e-12)
 
 
@@ -360,8 +383,9 @@ def mc_rademacher_lower(
             W = z[:, end - q : end]
             W *= 1.0 / math.sqrt(q)
             W += 0.0  # rng.normal(0, 1/sqrt(q)) computes 0 + scale * z on this stream
-            for row in W:
-                row *= radius / _norm(row)
+            # a broadcast, unlike _trial_chunks: its iterator buffers stay below
+            # the suite's peak, which exhaustive_rademacher_tiny's sweep sets
+            W *= (radius / _row_norms(W))[:, None]
         layers = _stacked_layers(spec, z)
         F[start : start + h] = _forward_batch(Parameters._unchecked(spec, layers), X)[0]
     sigma = rng.choice([-1.0, 1.0], size=(sigma_samples, n))

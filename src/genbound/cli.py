@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -312,28 +313,38 @@ def _check_run(config: Config) -> None:
         raise ConfigError(str(exc), ("bound", "rho")) from exc
 
 
+@contextmanager
+def _edit_errors(edit: dict):
+    """Relabels a ConfigError in a key the edit set as the sweep value's (compare's pass)."""
+    try:
+        yield
+    except ConfigError as exc:
+        section, key = exc.where or (None, None)
+        if key not in edit.get(section, {}):
+            raise
+        raise ConfigError(exc.rule, ("sweep", "values"), json.dumps(edit[section][key])) from exc
+
+
 def _run_all(doc: dict, edits: list[dict], seeds, out_dir: str):
     """An iterator over the RunResults of `doc` with each edit merged in, at each seed, in order.
 
     Before it returns, every run is parsed and range-checked, each distinct
     data section is built once, in first-use order, and out_dir is made, so
-    a config error writes nothing.  Each run starts when its result is read.
+    a config error writes nothing.  An error in a key an edit set, in the
+    checks or in the build, names the sweep values.  Each run starts when
+    its result is read.
     """
     configs = []
     for edit in edits:
-        try:
+        with _edit_errors(edit):
             config = _parse({**doc, **{name: {**doc.get(name, {}), **keys} for name, keys in edit.items()}})
             _check_run(config)
-        except ConfigError as exc:  # an error in a key the edit set is a sweep value's (compare's pass)
-            section, key = exc.where or (None, None)
-            if key not in edit.get(section, {}):
-                raise
-            raise ConfigError(exc.rule, ("sweep", "values"), json.dumps(edit[section][key])) from exc
         configs.append(config)
     datasets = {}
-    for config in configs:
+    for edit, config in zip(edits, configs):
         if config.data not in datasets:
-            datasets[config.data] = build_datasets(config)
+            with _edit_errors(edit):
+                datasets[config.data] = build_datasets(config)
     os.makedirs(out_dir, exist_ok=True)
     return (run_one(config, *datasets[config.data], seed) for config in configs for seed in seeds)
 
@@ -564,11 +575,12 @@ def cmd_compare(args) -> int:
         report, _ = _assemble(config, traj)
         eta_sum = float(np.sum(traj.eta[:-1]))
         info = bnd.sgld_bound(config.loss_bound, config.lip, beta, traj.n_train, eta_sum)
-        cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info)]
+        diverged_at = "" if traj.diverged_at is None else str(traj.diverged_at)
+        cells = [_fmt(beta), _fmt(report.cl), _fmt(report.bound), _fmt(info), diverged_at]
         rows.append(",".join([algorithm] + cells) + "\n")
     path = os.path.join(out_dir, "compare.csv")
     with open(path, "w", newline="") as fh:
-        fh.write("algorithm,beta,cl,bound_cl,bound_info\n")
+        fh.write("algorithm,beta,cl,bound_cl,bound_info,diverged_at\n")
         fh.writelines(rows)
     print(f"compare table -> {path}")
     if diverged:

@@ -144,6 +144,68 @@ def test_chunked_checks_match_per_trial_oracles(spec, offset):
 
 
 @pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
+@pytest.mark.parametrize("budget", [8 * 1024, 1024 * 1024], ids=["8KB", "1MB"])
+def test_chunked_checks_match_per_trial_oracles_at_any_budget(spec, budget, monkeypatch):
+    # one or two trials per chunk at 8 KB, the suite's 25 trials in one chunk at 1 MB
+    monkeypatch.setattr(checks, "_CHUNK_BYTES", budget)
+    per_chunk = _trials_per_chunk(spec)
+    assert per_chunk <= 2 if budget == 8 * 1024 else per_chunk >= 25
+    for trials in (1, 25):
+        for got, want in [
+            (check_homogeneity(spec, trials, 5), check_homogeneity_per_trial(spec, trials, 5)),
+            (check_value_grad_bounds(spec, trials, 5), check_value_grad_bounds_per_trial(spec, trials, 5)),
+            (
+                check_homogeneity(spec, trials, 2, grad_perturb=1e-3),
+                check_homogeneity_per_trial(spec, trials, 2, grad_perturb=1e-3),
+            ),
+        ]:
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+@pytest.mark.parametrize("check", [check_homogeneity, check_value_grad_bounds], ids=["homogeneity", "bounds"])
+@pytest.mark.parametrize("chunk", [0, 1], ids=["first-chunk", "last-chunk"])
+def test_a_nan_trial_fails_the_check(check, chunk, monkeypatch):
+    # max(worst, nan) keeps worst, so a NaN trial would pass unless the fold propagates NaN
+    spec = _CHUNKED_SPECS[0]
+    value_grad, passes = checks._value_grad, []
+
+    def one_nan_output(params, X, workspace):
+        f, grads = value_grad(params, X, workspace)
+        if len(passes) == chunk:
+            f[1] = math.nan
+        passes.append(X.shape[0])
+        return f, grads
+
+    monkeypatch.setattr(checks, "_value_grad", one_nan_output)
+    out = check(spec, _trials_per_chunk(spec) + 2, 0)
+    assert len(passes) == 2
+    assert math.isnan(out.max_violation)
+    assert not out.passed
+
+
+def test_trial_chunk_scales_its_layers_without_a_chunk_sized_temporary(monkeypatch):
+    # a broadcast (h, 1) kappa factor per layer makes numpy allocate iterator buffers
+    # of up to 3 x 64 KB for each multiply; drawn and scaled row by row, a chunk of a
+    # wide spec holds about its own buffer, below the budget
+    spec = NetworkSpec(6, (), (64, 48), 48, 0.5)
+    per_chunk = _trials_per_chunk(spec)
+    assert 1 < per_chunk < 25
+    assert per_chunk * 64 * 48 > 8192  # more entries in layer 2 than one numpy buffer holds
+    # the pass stubbed out, so the peak is the draws' and the scaling's
+    monkeypatch.setattr(checks, "_value_grad", lambda params, X, workspace: (np.zeros(X.shape[0]), []))
+    chunks = checks._trial_chunks(spec, 25, 0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        layers, _, _, _ = next(chunks)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert layers[1].shape == (per_chunk, 64, 48)
+    assert peak < checks._CHUNK_BYTES + 16 * 1024
+
+
+@pytest.mark.parametrize("spec", _CHUNKED_SPECS, ids=["fnn", "cnn"])
 def test_chunked_homogeneity_perturbs_each_trial_as_the_oracle(spec):
     # grad_perturb shifts each trial's own first entry of layer 1, once
     trials = _trials_per_chunk(spec) + 1

@@ -822,9 +822,10 @@ def test_compare_table(tmp_path):
     out = tmp_path / "cmp"
     assert cli.main(["compare", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
     lines = (out / "compare.csv").read_text().strip().splitlines()
-    assert lines[0] == "algorithm,beta,cl,bound_cl,bound_info"
+    assert lines[0] == "algorithm,beta,cl,bound_cl,bound_info,diverged_at"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["SGLD", "SGLD", "GD"]
+    assert [r[5] for r in rows] == ["", "", ""]  # no run diverged
     infos = [float(r[4]) for r in rows]
     assert infos[0] < infos[1] and math.isinf(infos[2])
     assert all(math.isfinite(float(r[3])) for r in rows)
@@ -842,6 +843,9 @@ def test_compare_diverged_run_writes_table_and_exits_1(tmp_path, capsys):
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["SGLD", "10.0"], ["SGLD", "100.0"], ["SGLD", "1000.0"], ["SGLD", "10000.0"], ["GD", "inf"]
     ]
+    # the table itself says which runs diverged, and at which step
+    assert lines[0].endswith(",diverged_at")
+    assert [line.split(",")[5] for line in lines[1:]] == ["3", "5", "12", "", ""]
 
 
 def test_compare_requires_section(tmp_path, capsys):
@@ -989,6 +993,24 @@ def test_idx_label_noise_on_one_label_value_names_the_key(tmp_path, capsys):
     assert cli.main(["train", "--config", _write(tmp_path, _idx_config(stem, 0.25)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "config error: section 'data' key 'noise_fraction': label noise needs two label values, got 1\n"
+    assert not out.exists()
+
+
+def test_sweep_value_that_breaks_the_data_build_names_the_sweep_values(tmp_path, capsys):
+    # the build of a data section a noise value made runs under the sweep values' label too
+    from genbound.data import write_idx
+
+    stem = str(tmp_path / "fix")
+    images = np.random.default_rng(0).integers(0, 256, size=(40, 4, 4), dtype=np.uint8)
+    write_idx(images, np.zeros(40, np.uint8), stem + "-images.idx", stem + "-labels.idx")
+    doc = _idx_config(stem, 0.0)
+    doc["sweep"] = {"axis": "noise", "values": [0.0, 0.25]}
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: section 'sweep' key 'values': label noise needs two label values, got 1, got 0.25\n"
+    )
     assert not out.exists()
 
 
